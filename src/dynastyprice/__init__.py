@@ -1,7 +1,7 @@
 """Asset pricing for a quadratic-OU dividend economy with finite-lived
 Bayesian dynasties: closed-form pricing kernel, Bessel-based exponent
-functions, quadrature stock and bond prices, calibration, and Monte
-Carlo verification oracles."""
+functions, quadrature stock and closed-form bond prices, calibration,
+and Monte Carlo verification oracles."""
 
 from .beliefs import BeliefInput, lambda_density, posterior, sample_age
 from .calibration import (CalibrationTarget, build_defaults, expected_rate,

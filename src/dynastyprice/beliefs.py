@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DerivedConstants, InvalidParamsError, ModelParams
-from .ou import SimPath
+from .ou import SimPath, philox_stream
 
 
 class AgeExceedsPathError(RuntimeError):
@@ -95,8 +95,7 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
     """
     if shared_path.xs.shape[0] != 1:
         raise ValueError("shared_path must hold a single trajectory")
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=int(seed))))
+    rng = philox_stream(seed)
 
     window = shared_path.n_steps * shared_path.dt
     ages = sample_age(params.epsilon, params.lam, rng, population_size)

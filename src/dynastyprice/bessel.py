@@ -26,6 +26,7 @@ TWO_OVER_PI = 0.6366197723675813430755
 SQRT_TWO_OVER_PI = 0.7978845608028653558799
 PI_OVER_4 = 0.7853981633974483096157
 THREE_PI_OVER_4 = 2.3561944901923449288470
+LN2 = 0.6931471805599453094172
 
 _CROSSOVER = 8.0
 _NTERMS = 34  # ascending-series length; last term < 1e-18 * result at z = 8
@@ -112,8 +113,9 @@ def _series(w, coef):
 
 def _log_half_z(z):
     # log(z/2) with the z == 0 lanes neutralised; callers multiply the
-    # result by a factor that vanishes at z = 0.
-    return np.log(np.where(z > 0.0, z, 1.0) / 2.0)
+    # result by a factor that vanishes at z = 0.  Subtracting log 2 after
+    # the log keeps subnormal z finite, where z / 2 would underflow to 0.
+    return np.log(np.where(z > 0.0, z, 1.0)) - LN2
 
 
 def _j0_small(z):

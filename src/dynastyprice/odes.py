@@ -20,12 +20,21 @@ argument z(u) = z0 e^{-lam u / 2}, z0 = 2 sqrt(A/lam):
 The identity J1 Y2 - J2 Y1 = -2/(pi z) forces g(0) = lam/pi for every
 admissible parameter set.  Everything is evaluated through the scaled
 combinations z^2 J2, z^2 * (z Y1), z^2 Y2, which stay representable even
-when e^{-lam u} underflows, and a(tau) is always computed from the
-closed form; the adaptive integrator here exists purely as an
-independent cross-check.
+when e^{-lam u} underflows.  c(tau) is closed form too:
+
+    c = theta a0 - log(g / g(0)) / 2 + (b(0) g(0))^2 I / 2,
+    I(tau) = int_0^tau e^{-2 lam t} / g^2 dt = [h / g]_0^tau / K,
+
+with the companion h = e^{-lam u} [beta J2(z) + alpha Y2(z)], g rotated
+by 90 degrees in the (J2, Y2) basis.  Both solve g'' + 2 lam g'
++ lam A e^{-lam u} g = 0, so g h' - g' h = K e^{-2 lam u} with
+K = -(lam/pi)(alpha^2 + beta^2) (W{J2, Y2} = 2/(pi z), DLMF 10.5), which
+never vanishes since g(0) != 0.  The adaptive integrator here exists
+purely as an independent cross-check.
 
 In the known-parameter limit the forcing term vanishes (A = 0) and g is
-elementary: g(u) = c1 + c2 e^{-2 lam u}.
+elementary: g(u) = p + q e^{-2 lam u}, with companion
+h(u) = -q + p e^{-2 lam u} and K = -2 lam (p^2 + q^2).
 """
 
 from __future__ import annotations
@@ -33,13 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import bessel
 from .model import DerivedConstants, InvalidParamsError, ModelParams
 
 G_FLOOR = 1e-12
-C_QUADRATURE_TOL = 1e-9
 
 
 class DegenerateGError(ArithmeticError):
@@ -47,7 +54,7 @@ class DegenerateGError(ArithmeticError):
 
 
 class QuadratureToleranceError(ArithmeticError):
-    """Richardson estimate of the c-integral error exceeds tolerance."""
+    """Maturity-quadrature refinement exhausted before meeting rel_tol."""
 
 
 class StepSizeUnderflowError(ArithmeticError):
@@ -88,22 +95,29 @@ class OdeSolution:
 
 
 def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
-    """g, g', and their tilt derivatives on an array of times u >= 0."""
+    """g, g', dg, dg', the companion h, dh, and the Wronskian constant K,
+    dK (d = tilt derivative) on an array of times u >= 0."""
     lam = consts.lam
     a2 = params.a2
     chat = consts.spd_quad + theta * a2
     u = np.asarray(u, dtype=float)
 
     if consts.age_norm == 0.0:
-        # elementary limit: g = c1 + c2 e^{-2 lam u}
+        # elementary limit: g = p + q e^{-2 lam u}, h = -q + p e^{-2 lam u}
         g0 = lam / np.pi
         e = np.exp(-2.0 * lam * u)
-        c2 = chat * g0 / lam
-        g = (g0 - c2) + c2 * e
-        gdot = -2.0 * lam * c2 * e
-        dg = (a2 * g0 / lam) * (e - 1.0)
+        q = chat * g0 / lam
+        p = g0 - q
+        dq = a2 * g0 / lam
+        g = p + q * e
+        gdot = -2.0 * lam * q * e
+        dg = dq * (e - 1.0)
         dgdot = -2.0 * a2 * g0 * e
-        return g, gdot, dg, dgdot
+        h = -q + p * e
+        dh = -dq * (1.0 + e)
+        big_k = -2.0 * lam * (p * p + q * q)
+        dk = -4.0 * lam * dq * (q - p)
+        return g, gdot, dg, dgdot, h, dh, big_k, dk
 
     big_a = consts.age_norm
     z0 = 2.0 * np.sqrt(big_a / lam)
@@ -128,35 +142,24 @@ def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
     gdot = -0.5 * lam * inv * (alpha * z2 * z * j1_z - beta * z2 * w1_z)
     dg = inv * (dalpha * z2 * j2_z - dbeta * w2_z)
     dgdot = -0.5 * lam * inv * (dalpha * z2 * z * j1_z - dbeta * z2 * w1_z)
-    return g, gdot, dg, dgdot
+    h = inv * (beta * z2 * j2_z + alpha * w2_z)
+    dh = inv * (dbeta * z2 * j2_z + dalpha * w2_z)
+    big_k = -(lam / np.pi) * (alpha * alpha + beta * beta)
+    dk = -(2.0 * lam / np.pi) * (alpha * dalpha + beta * dbeta)
+    return g, gdot, dg, dgdot, h, dh, big_k, dk
+
+
+def _check_g(g, where: str) -> None:
+    # also rejects NaN, which every comparison fails
+    if not np.all(g >= G_FLOOR):
+        raise DegenerateGError(f"g vanishes on {where}")
 
 
 def g_closed(u, theta: float, params: ModelParams, consts: DerivedConstants):
-    """(g, g') at times u >= 0; raises DegenerateGError where |g| < 1e-12."""
-    g, gdot, _, _ = _g_derivs(u, theta, params, consts)
-    if np.any(np.abs(g) < G_FLOOR) or np.any(g <= 0.0):
-        raise DegenerateGError("g vanishes on the requested range")
+    """(g, g') at times u >= 0; raises DegenerateGError where g < 1e-12."""
+    g, gdot, *_ = _g_derivs(u, theta, params, consts)
+    _check_g(g, "the requested range")
     return g, gdot
-
-
-def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral on a uniform grid with an odd number of nodes.
-
-    Even nodes accumulate composite Simpson panels; odd nodes add a cubic
-    (4-point) half-panel so the local error stays O(h^5) everywhere.
-    """
-    out = np.empty_like(f)
-    out[0] = 0.0
-    out[2::2] = np.cumsum(h / 3.0 * (f[0:-2:2] + 4.0 * f[1:-1:2] + f[2::2]))
-    n = len(f)
-    idx = np.arange(1, n, 2)
-    fwd = idx[idx + 2 <= n - 1]
-    out[fwd] = out[fwd - 1] + h / 24.0 * (9.0 * f[fwd - 1] + 19.0 * f[fwd]
-                                          - 5.0 * f[fwd + 1] + f[fwd + 2])
-    bwd = idx[idx + 2 > n - 1]
-    out[bwd] = out[bwd - 1] + h / 24.0 * (f[bwd - 3] - 5.0 * f[bwd - 2]
-                                          + 19.0 * f[bwd - 1] + 9.0 * f[bwd])
-    return out
 
 
 def abc_eval(inputs: OdeInputs) -> OdeSolution:
@@ -165,9 +168,9 @@ def abc_eval(inputs: OdeInputs) -> OdeSolution:
     lam = consts.lam
     taus = np.linspace(0.0, inputs.tau_max, inputs.n_grid)
 
-    g, gdot, dg, dgdot = _g_derivs(taus, theta, params, consts)
-    if np.any(np.abs(g) < G_FLOOR) or np.any(g <= 0.0):
-        raise DegenerateGError("g vanishes on [0, tau_max]")
+    g, gdot, dg, dgdot, h, dh, big_k, dk = _g_derivs(taus, theta, params,
+                                                     consts)
+    _check_g(g, "[0, tau_max]")
 
     a = -gdot / g
     da = -dgdot / g + gdot / (g * g) * dg
@@ -178,20 +181,14 @@ def abc_eval(inputs: OdeInputs) -> OdeSolution:
     db = (params.a1 * g[0] * emlt / g
           + b0 * emlt * (dg[0] / g - g[0] / (g * g) * dg))
 
-    h = taus[1] - taus[0]
-    fc = 0.5 * (a + b * b)
-    fdc = 0.5 * (da + 2.0 * b * db)
-    c = theta * params.a0 + _cumulative_simpson(fc, h)
-    dc = params.a0 + _cumulative_simpson(fdc, h)
-
-    # Richardson check of the c quadrature against the half-density grid
-    if inputs.n_grid >= 5 and (inputs.n_grid - 1) % 4 == 0:
-        c_half = theta * params.a0 + _cumulative_simpson(fc[::2], 2.0 * h)
-        est = np.max(np.abs(c[::2] - c_half)) / 15.0
-        if est > C_QUADRATURE_TOL:
-            raise QuadratureToleranceError(
-                f"c-quadrature Richardson estimate {est:.2e} exceeds "
-                f"{C_QUADRATURE_TOL:.0e}; refine n_grid")
+    # I = int_0^tau e^{-2 lam t} / g^2 dt from the Wronskian of g and h
+    big_i = (h / g - h[0] / g[0]) / big_k
+    d_ratio = dh / g - h / (g * g) * dg
+    d_big_i = (d_ratio - d_ratio[0] - big_i * dk) / big_k
+    bg0 = b0 * g[0]
+    c = theta * params.a0 - 0.5 * np.log(g / g[0]) + 0.5 * bg0 * bg0 * big_i
+    dc = (params.a0 - 0.5 * (dg / g - dg[0] / g[0])
+          + b0 * params.a1 * g[0] * g[0] * big_i + 0.5 * bg0 * bg0 * d_big_i)
 
     return OdeSolution(taus=taus, a_vals=a, b_vals=b, c_vals=c,
                        da_vals=da, db_vals=db, dc_vals=dc)
@@ -203,6 +200,8 @@ def abc_numeric(inputs: OdeInputs) -> OdeSolution:
     The tilt-derivative block is the linearisation of the base system:
     d(da)/dtau = 2(a - lam) da, and so on.  Local tolerance 1e-10.
     """
+    from scipy.integrate import solve_ivp   # cross-check only; slow import
+
     params, consts, theta = inputs.params, inputs.consts, inputs.theta
     lam, big_a = consts.lam, consts.age_norm
 

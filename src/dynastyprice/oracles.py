@@ -27,7 +27,7 @@ from . import model
 from .beliefs import aggregate_log_lambda
 from .model import DerivedConstants, InvalidParamsError, MarketState, ModelParams
 from .odes import OdeInputs, abc_eval
-from .ou import SimConfig, SimPath, simulate
+from .ou import SimConfig, SimPath, philox_stream, simulate, step_consts
 
 LOG_PAYOFF_CAP = 700.0
 
@@ -60,22 +60,11 @@ class McEstimate:
     tail: float = 0.0
 
 
-def _stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=int(seed))))
-
-
 def _check_burn_in(cfg: OracleConfig, lam: float) -> None:
     if cfg.burn_in < 10.0 / lam:
         raise InvalidParamsError(
             f"burn_in must be >= 10/lam = {10.0 / lam:.3f} "
             "(past-window truncation)")
-
-
-def _ou_step_consts(lam: float, dt: float) -> tuple[float, float]:
-    decay = math.exp(-lam * dt)
-    sd = math.sqrt((1.0 - math.exp(-2.0 * lam * dt)) / (2.0 * lam))
-    return decay, sd
 
 
 def mc_v(state: MarketState, t_horizon: float, theta: float,
@@ -91,8 +80,8 @@ def mc_v(state: MarketState, t_horizon: float, theta: float,
     lam = consts.lam
     n_steps = int(round(t_horizon / cfg.dt))
     dt = cfg.dt
-    rng = _stream(cfg.seed)
-    decay, sd = _ou_step_consts(lam, dt)
+    rng = philox_stream(cfg.seed)
+    decay, sd = step_consts(lam, dt)
 
     xs = np.full(cfg.n_paths, float(state.x))
     acc = np.zeros(cfg.n_paths)          # trapezoid of e^{lam s} X_s^2
@@ -131,8 +120,8 @@ def mc_stock(state: MarketState, params: ModelParams,
     if horizon <= tail_window:
         raise InvalidParamsError("horizon must exceed tail_window")
     big_dt = t_sub * dt
-    rng = _stream(cfg.seed)
-    decay, sd = _ou_step_consts(lam, dt)
+    rng = philox_stream(cfg.seed)
+    decay, sd = step_consts(lam, dt)
     half_w = 0.25 * consts.age_norm * lam * dt
 
     xs = np.full(cfg.n_paths, float(state.x))
@@ -250,8 +239,8 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
         return 0.0
     lam = consts.lam
     dt = cfg.dt
-    rng = _stream(cfg.seed)
-    decay, sd = _ou_step_consts(lam, dt)
+    rng = philox_stream(cfg.seed)
+    decay, sd = step_consts(lam, dt)
     amp = 0.5 * consts.age_norm * lam * math.exp(-lam * t_final)
 
     sol = abc_eval(OdeInputs(theta=theta, params=params, consts=consts,

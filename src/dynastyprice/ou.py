@@ -14,6 +14,7 @@ so results do not depend on how paths are batched or ordered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,17 @@ class SimPath:
         return self.t0 + self.dt * np.arange(self.xs.shape[1])
 
 
+def step_consts(lam: float, dt: float) -> tuple[float, float]:
+    """Decay e^{-lam dt} and shock sd sqrt((1 - e^{-2 lam dt}) / (2 lam))
+    of one exact OU transition."""
+    decay = math.exp(-lam * dt)
+    sd = math.sqrt((1.0 - math.exp(-2.0 * lam * dt)) / (2.0 * lam))
+    return decay, sd
+
+
 def exact_step(x, dt: float, z, mean: float, lam: float):
     """One exact OU transition: mean + (x-mean)e^{-lam dt} + sd(dt) * z."""
-    decay = np.exp(-lam * dt)
-    sd = np.sqrt((1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam))
+    decay, sd = step_consts(lam, dt)
     return mean + (x - mean) * decay + sd * z
 
 
@@ -77,8 +85,9 @@ def sample_stationary(mean: float, lam: float, z):
     return mean + z / np.sqrt(2.0 * lam)
 
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+def philox_stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    """Philox generator for ``seed``, or for its substream at ``spawn_key``."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -98,7 +107,7 @@ def simulate(config: SimConfig, params: ModelParams, consts: DerivedConstants,
     # one substream per path: layout is [x0 draw if needed, then steps]
     z = np.empty((n, m + 1))
     for i in range(n):
-        z[i] = _path_rng(config.seed, i).standard_normal(m + 1)
+        z[i] = philox_stream(config.seed, i).standard_normal(m + 1)
 
     xs = np.empty((n, m + 1))
     if x_init is None:
@@ -106,8 +115,7 @@ def simulate(config: SimConfig, params: ModelParams, consts: DerivedConstants,
     else:
         xs[:, 0] = x_init
 
-    decay = np.exp(-lam * dt)
-    sd = np.sqrt((1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam))
+    decay, sd = step_consts(lam, dt)
     for k in range(m):
         xs[:, k + 1] = mean + (xs[:, k] - mean) * decay + sd * z[:, k + 1]
 

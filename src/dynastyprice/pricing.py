@@ -15,7 +15,7 @@ a-posteriori tail and Richardson estimates meet rel_tol; the defaults
 alone do not reach 1e-8 for typical parameters.
 
 The zero-coupon bond is the untilted transform itself and needs no
-maturity integral.
+maturity integral: it is one closed-form evaluation at its maturity.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ def _resolve_grid(params: ModelParams, q: QuadratureConfig) -> tuple[float, int]
         tau_max = max(10.0 / params.rho, 20.0 / params.lam)
     n_grid = q.n_grid
     if n_grid is None:
-        # density h ~ 0.005 reaches the 1e-9 c-quadrature tolerance for
-        # transients on the 1/lam scale; refinement handles the rest
+        # density h ~ 0.005 resolves the maturity integrand's transients on
+        # the 1/lam scale for the Simpson rule; refinement handles the rest
         n_grid = max(2001, math.ceil(tau_max / 0.005))
     if n_grid % 2 == 0:
         n_grid += 1
@@ -117,12 +117,8 @@ def _solve_grid(state: MarketState, params: ModelParams,
     u = np.array([state.u])
 
     for _ in range(q.max_refinements + 1):
-        try:
-            sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
-                                     tau_max=tau_max, n_grid=n_grid))
-        except QuadratureToleranceError:
-            n_grid = 2 * n_grid - 1
-            continue
+        sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                                 tau_max=tau_max, n_grid=n_grid))
         integ = _integrand_matrix(x, u, sol, params, consts)[0]
         h = sol.taus[1] - sol.taus[0]
         w = _simpson_weights(n_grid, h)
@@ -190,14 +186,26 @@ def bond_price(state: MarketState, tau: float, params: ModelParams,
         raise InvalidParamsError("tau must be nonnegative")
     if tau == 0.0:
         return 1.0
-    n_grid = 1 + 2 * max(500, math.ceil(tau / 0.005))
+    # closed forms: only the node at tau is read
     sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
-                             tau_max=tau, n_grid=n_grid))
+                             tau_max=tau, n_grid=3))
     x, u = state.x, state.u
     expo = ((0.5 * sol.a_vals[-1] - consts.spd_quad) * x * x
             + (sol.b_vals[-1] - consts.spd_lin) * x + sol.c_vals[-1]
             - params.rho * tau - (1.0 - math.exp(-consts.lam * tau)) * u)
     return float(np.exp(expo))
+
+
+def _slope_x(state: MarketState, sol: OdeSolution, params: ModelParams,
+             consts: DerivedConstants, dx: float) -> float:
+    """h_x by Richardson-extrapolated centred differences at bumps dx and
+    dx/2, on a solution grid already refined for the state."""
+    u = np.full(4, state.u)
+    xs = state.x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx])
+    s = _stock_values(xs, u, sol, params, consts)
+    d1 = (s[0] - s[1]) / (2.0 * dx)
+    d2 = (s[2] - s[3]) / dx
+    return (4.0 * d2 - d1) / 3.0
 
 
 def volatility(state: MarketState, params: ModelParams,
@@ -207,12 +215,7 @@ def volatility(state: MarketState, params: ModelParams,
     centred differences at bumps dx and dx/2."""
     q = q or QuadratureConfig()
     sol, report = _solve_grid(state, params, consts, q)
-    u = np.full(4, state.u)
-    xs = state.x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx])
-    s = _stock_values(xs, u, sol, params, consts)
-    d1 = (s[0] - s[1]) / (2.0 * dx)
-    d2 = (s[2] - s[3]) / dx
-    return float((4.0 * d2 - d1) / 3.0 / report.stock)
+    return float(_slope_x(state, sol, params, consts, dx) / report.stock)
 
 
 def volatility_grid(xs, us, params: ModelParams, consts: DerivedConstants,
@@ -245,11 +248,7 @@ def drift_star(state: MarketState, a_star: float, params: ModelParams,
     a_star: [r h - delta + (lam a_star - 2 spd_quad x - spd_lin) h_x] / h."""
     q = q or QuadratureConfig()
     sol, report = _solve_grid(state, params, consts, q)
-    dx = 1e-4
-    u = np.full(4, state.u)
-    xs = state.x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx])
-    s = _stock_values(xs, u, sol, params, consts)
-    h_x = (4.0 * (s[2] - s[3]) / dx - (s[0] - s[1]) / (2.0 * dx)) / 3.0
+    h_x = _slope_x(state, sol, params, consts, 1e-4)
     h = report.stock
     r = short_rate(state, consts)
     risk_coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin

@@ -54,6 +54,9 @@ def test_scaled_variants_match_and_stay_finite():
     # limits at an argument that underflows e^{-lam u} bookkeeping upstream
     assert bessel.y1_scaled(0.0) == pytest.approx(-2.0 / np.pi, rel=1e-14)
     assert bessel.y2_scaled(0.0) == pytest.approx(-4.0 / np.pi, rel=1e-14)
+    # the smallest subnormal, where z / 2 underflows to 0
+    assert bessel.y1_scaled(5e-324) == pytest.approx(-2.0 / np.pi, rel=1e-14)
+    assert bessel.y2_scaled(5e-324) == pytest.approx(-4.0 / np.pi, rel=1e-14)
 
 
 def test_domain_and_order_errors():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dynastyprice import MarketState, derive_constants, short_rate
@@ -125,6 +127,15 @@ def test_numerical_failure_exit(capsys):
     code, _, err = run_cli(capsys, "price", "--set", "a2=-5")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_price_finite_at_small_rho(capsys):
+    # tau_max = 10/rho = 1000 takes the Bessel argument into subnormals
+    code, out, _ = run_cli(capsys, "price", "--set", "rho=0.01")
+    stock = float(out.strip().splitlines()[1].split(",")[10])
+    assert code == 0
+    assert math.isfinite(stock)
+    assert stock == pytest.approx(2.11356085211, rel=1e-8)
 
 
 def test_seed_precedence(monkeypatch):

@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import dynastyprice
 from dynastyprice import (DegenerateGError, DerivedConstants, OdeInputs,
                           abc_eval, abc_numeric, derive_constants, g_closed)
 from dynastyprice.calibration import build_defaults
@@ -129,8 +133,23 @@ def test_ode_residuals_by_centered_differences(defaults):
     assert np.max(np.abs(res_c)) < 1e-6
 
 
-def test_closed_vs_numeric(defaults):
+def _flat_consts(params, consts):
+    # A = 0 (degenerate, test-only): the forcing term of the Riccati
+    # equation vanishes and g is elementary
+    return DerivedConstants(age_norm=0.0, spd_lin=consts.spd_lin,
+                            spd_quad=consts.spd_quad, r0=0.0, r1=0.0, r2=0.0,
+                            lam=params.lam)
+
+
+@pytest.mark.parametrize("case", ["defaults", "a0_a1", "forcing_vanishes"])
+def test_closed_vs_numeric(defaults, case):
     params, consts = defaults
+    if case == "a0_a1":
+        # nonzero a0 and a1 reach the b(0)-dependent terms of c and dc
+        params = replace(params, a0=0.3, a1=0.7, lam=1.3, epsilon=1.2)
+        consts = derive_constants(params)
+    elif case == "forcing_vanishes":
+        consts = _flat_consts(params, consts)
     for theta in (0.0, 0.1):
         inputs = OdeInputs(theta=theta, params=params, consts=consts,
                            tau_max=10.0, n_grid=2001)
@@ -149,8 +168,7 @@ def test_numeric_matches_separable_solution_when_forcing_vanishes(defaults):
     # a(tau) = 2 lam C / (C - (C - lam) e^{2 lam tau})
     params, consts = defaults
     lam, c_quad = params.lam, consts.spd_quad
-    flat = DerivedConstants(age_norm=0.0, spd_lin=consts.spd_lin,
-                            spd_quad=c_quad, r0=0.0, r1=0.0, r2=0.0, lam=lam)
+    flat = _flat_consts(params, consts)
     sol = abc_numeric(OdeInputs(theta=0.0, params=params, consts=flat,
                                 tau_max=10.0, n_grid=2001))
     want = 2 * lam * c_quad / (c_quad - (c_quad - lam) * np.exp(2 * lam * sol.taus))
@@ -159,6 +177,25 @@ def test_numeric_matches_separable_solution_when_forcing_vanishes(defaults):
     closed = abc_eval(OdeInputs(theta=0.0, params=params, consts=flat,
                                 tau_max=10.0, n_grid=2001))
     assert np.max(np.abs(closed.a_vals - want)) < 1e-12
+
+
+def test_long_horizon_stays_finite(defaults):
+    # lam tau = 1600 drives z = z0 e^{-lam tau / 2} below the smallest
+    # normal double; the scaled Bessel combinations must stay finite there
+    params, consts = defaults
+    sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                             tau_max=800.0, n_grid=8001))
+    for name in ("a_vals", "b_vals", "c_vals", "da_vals", "db_vals",
+                 "dc_vals"):
+        assert np.all(np.isfinite(getattr(sol, name))), name
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is only needed by the abc_numeric cross-check
+    src = str(Path(dynastyprice.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import dynastyprice; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_c_equals_simpson_of_integrand(defaults):
