@@ -3,8 +3,11 @@
 Every oracle reports (estimate, standard error), never a bare point
 estimate; acceptance comparisons are made in standard-error units.  All
 estimators run serially over a fixed draw order (time-major for the
-heavy forward simulations, one spawned substream per path in the path
-factory), so a fixed seed reproduces results bitwise.
+forward simulations in mc_v, mc_stock and martingale_check, one spawned
+substream per path in the path factory), so a fixed seed reproduces
+results bitwise.  The path checks (xi_eta_check, aggregation_check)
+work one path row at a time, so beyond the path itself they hold only
+O(n_steps) temporaries.
 
 The stock oracle integrates the pathwise payoff over maturities out to a
 finite horizon and closes the integral with a geometric tail: once the
@@ -159,6 +162,18 @@ def mc_stock(state: MarketState, params: ModelParams,
                       tail=float(np.mean(tails)))
 
 
+def _lag_weights(lam: float, dt: float, n_steps: int) -> np.ndarray:
+    """lam e^{-lam v} at the window lags v = 0, dt, ..., n_steps dt."""
+    return lam * np.exp(-lam * dt * np.arange(n_steps + 1))
+
+
+def _history(x: np.ndarray, wgt: np.ndarray, dt: float) -> float:
+    """Window trapezoid of lam e^{-lam v} X_{t-v}^2 for one path row ``x``
+    (oldest value first), ``wgt`` from _lag_weights."""
+    x_rev = x[::-1]
+    return float(np.trapezoid(x_rev * x_rev * wgt, dx=dt))
+
+
 def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
     """Deviations of the weighted-increment integrals from their closed forms.
 
@@ -171,17 +186,19 @@ def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
     same window's trapezoid of lam e^{-lam v} X_{t-v}^2, so truncation
     cancels between the two sides up to e^{-lam T0}.
     """
-    lam, dt = path.lam, path.dt
-    n = path.n_steps
-    wgt = lam * np.exp(-lam * dt * np.arange(n + 1))
-    dw = path.ws[:, -1][:, None] - path.ws[:, ::-1]
-    xs_rev = path.xs[:, ::-1]
-    x_t = path.xs[:, -1]
-
-    xi_hat = np.trapezoid(dw * wgt, dx=dt, axis=1)
-    eta_hat = np.trapezoid(dw * dw * wgt, dx=dt, axis=1)
-    hist = np.trapezoid(xs_rev * xs_rev * wgt, dx=dt, axis=1)
-    return np.abs(xi_hat - x_t), np.abs(eta_hat - (x_t * x_t + hist))
+    dt = path.dt
+    wgt = _lag_weights(path.lam, dt, path.n_steps)
+    n_paths = path.xs.shape[0]
+    xi_dev, eta_dev = np.empty(n_paths), np.empty(n_paths)
+    for i in range(n_paths):
+        ws, x_t = path.ws[i], path.xs[i, -1]
+        dw = ws[-1] - ws[::-1]
+        xi_hat = np.trapezoid(dw * wgt, dx=dt)
+        eta_hat = np.trapezoid(dw * dw * wgt, dx=dt)
+        hist = _history(path.xs[i], wgt, dt)
+        xi_dev[i] = abs(xi_hat - x_t)
+        eta_dev[i] = abs(eta_hat - (x_t * x_t + hist))
+    return xi_dev, eta_dev
 
 
 def aggregation_check(params: ModelParams, consts: DerivedConstants,
@@ -206,9 +223,8 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
 
     lam, eps, big_a = params.lam, params.epsilon, consts.age_norm
     x_t = float(path.xs[0, -1])
-    v = np.arange(n_steps + 1) * cfg.dt
-    wgt = lam * np.exp(-lam * v)
-    eta = x_t * x_t + float(np.trapezoid(path.xs[0, ::-1] ** 2 * wgt, dx=cfg.dt))
+    eta = x_t * x_t + _history(path.xs[0], _lag_weights(lam, cfg.dt, n_steps),
+                               cfg.dt)
     xi = x_t
 
     nodes, weights = laggauss(80)

@@ -10,6 +10,15 @@ integrals are discretised (trapezoid):
 
 Each path draws from its own substream spawned from (seed, path index),
 so results do not depend on how paths are batched or ordered.
+
+X and U are evaluated along each path's time axis in blocks rather than
+one step at a time: inside a block the linear recursion
+y_k = e^{-lam dt} y_{k-1} + s_k is a scaled cumulative sum, with blocks
+short enough that no scale factor exceeds e.  Rounding then differs from
+the step-by-step recursion; at 3 x 200,000 steps of dt = 5e-5 the two
+agree to 1e-12 absolute (tests/test_ou.py).  Apart from the returned
+arrays, memory is O(n_steps) for W and U and O(n_paths * block) for
+the recursion.
 """
 
 from __future__ import annotations
@@ -91,6 +100,29 @@ def philox_stream(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _decay_recurrence(y: np.ndarray, lam_dt: float) -> None:
+    """In place along the last axis: y[..., k] = d * y[..., k-1] + y[..., k]
+    with d = e^{-lam dt}.
+
+    Column 0 holds the start values and columns 1.. the increments s_k.
+    Within a block of length B, y_{k0+j} = d^j (d y_{k0-1} +
+    sum_{i<=j} s_{k0+i} d^{-i}), with B = floor(1 / (lam dt)), at least 1,
+    so that no factor d^{-i} exceeds e.
+    """
+    m = y.shape[-1] - 1
+    decay = math.exp(-lam_dt)
+    block = max(int(1.0 / lam_dt), 1)
+    lags = lam_dt * np.arange(min(block, m))
+    grow, shrink = np.exp(lags), np.exp(-lags)
+    for k0 in range(1, m + 1, block):
+        blk = y[..., k0:k0 + block]
+        width = blk.shape[-1]
+        blk *= grow[:width]
+        np.cumsum(blk, axis=-1, out=blk)
+        blk += decay * y[..., k0 - 1:k0]
+        blk *= shrink[:width]
+
+
 def simulate(config: SimConfig, params: ModelParams, consts: DerivedConstants,
              x_init: float | None = None, u_init: float = 0.0,
              t0: float = 0.0) -> SimPath:
@@ -103,34 +135,39 @@ def simulate(config: SimConfig, params: ModelParams, consts: DerivedConstants,
     lam = params.lam
     n, m = config.n_paths, config.n_steps
     dt, mean = config.dt, config.measure_mean
+    decay, sd = step_consts(lam, dt)
 
     # one substream per path: layout is [x0 draw if needed, then steps]
-    z = np.empty((n, m + 1))
-    for i in range(n):
-        z[i] = philox_stream(config.seed, i).standard_normal(m + 1)
-
     xs = np.empty((n, m + 1))
+    for i in range(n):
+        philox_stream(config.seed, i).standard_normal(out=xs[i])
     if x_init is None:
-        xs[:, 0] = sample_stationary(mean, lam, z[:, 0])
+        xs[:, 0] = sample_stationary(mean, lam, xs[:, 0])
     else:
         xs[:, 0] = x_init
 
-    decay, sd = step_consts(lam, dt)
-    for k in range(m):
-        xs[:, k + 1] = mean + (xs[:, k] - mean) * decay + sd * z[:, k + 1]
+    # X as deviations from the mean, the shocks sd * z as increments
+    x0 = xs[:, 0].copy()
+    xs[:, 0] -= mean
+    xs[:, 1:] *= sd
+    _decay_recurrence(xs, lam * dt)
+    xs += mean
+    xs[:, 0] = x0          # exactly, not (x0 - mean) + mean
 
-    # trapezoid reconstruction of W and of the U increment integral
+    # trapezoid reconstruction of W, and the U increments, row by row
     ws = np.empty_like(xs)
-    ws[:, 0] = 0.0
-    if m:
-        dw = np.diff(xs, axis=1) + 0.5 * lam * dt * (xs[:, :-1] + xs[:, 1:])
-        np.cumsum(dw, axis=1, out=ws[:, 1:])
-
     us = np.empty_like(xs)
+    ws[:, 0] = 0.0
     us[:, 0] = u_init
     half_w = 0.25 * consts.age_norm * lam * dt
-    for k in range(m):
-        us[:, k + 1] = (us[:, k] * decay
-                        + half_w * (decay * xs[:, k] ** 2 + xs[:, k + 1] ** 2))
+    for i in range(n):
+        x = xs[i]
+        np.cumsum(np.diff(x) + 0.5 * lam * dt * (x[:-1] + x[1:]),
+                  out=ws[i, 1:])
+        x2 = x * x
+        np.multiply(x2[:-1], decay, out=us[i, 1:])
+        us[i, 1:] += x2[1:]
+        us[i, 1:] *= half_w
+    _decay_recurrence(us, lam * dt)
 
     return SimPath(t0=t0, dt=dt, lam=lam, xs=xs, ws=ws, us=us)

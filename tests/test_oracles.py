@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,20 @@ def test_xi_eta_small_deviations(defaults):
     xd, ed = xi_eta_check(path)
     assert xd.mean() < 5e-3
     assert ed.mean() < 5e-3
+
+
+def test_xi_eta_memory_bounded(defaults):
+    # one path row at a time: scratch is O(n_steps), not O(path array)
+    params, _, consts = defaults
+    cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
+    path = simulate(cfg, params, consts, t0=-10.0)
+    tracemalloc.start()
+    try:
+        xi_eta_check(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.xs.nbytes
 
 
 def test_aggregation_within_three_se(defaults):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dynastyprice import (SimConfig, derive_constants, exact_step,
                           expected_u, sample_stationary, simulate)
 from dynastyprice.calibration import build_defaults
+from dynastyprice.ou import philox_stream, step_consts
 
 
 @pytest.fixture()
@@ -114,3 +117,61 @@ def test_u_recursion_telescopes(defaults):
     direct = (0.37 * np.exp(-lam * t_end)
               + 0.5 * consts.age_norm * np.trapezoid(integrand, dx=cfg.dt, axis=1))
     assert np.allclose(path.us[:, -1], direct, rtol=1e-12, atol=1e-14)
+
+
+def _sequential(config, params, consts, x_init=None, u_init=0.0):
+    """Reference: the step-by-step recursions, one time step at a time."""
+    lam = params.lam
+    n, m = config.n_paths, config.n_steps
+    dt, mean = config.dt, config.measure_mean
+    z = np.empty((n, m + 1))
+    for i in range(n):
+        z[i] = philox_stream(config.seed, i).standard_normal(m + 1)
+    xs = np.empty((n, m + 1))
+    xs[:, 0] = sample_stationary(mean, lam, z[:, 0]) if x_init is None else x_init
+    decay, sd = step_consts(lam, dt)
+    for k in range(m):
+        xs[:, k + 1] = mean + (xs[:, k] - mean) * decay + sd * z[:, k + 1]
+    ws = np.zeros_like(xs)
+    if m:
+        dw = np.diff(xs, axis=1) + 0.5 * lam * dt * (xs[:, :-1] + xs[:, 1:])
+        np.cumsum(dw, axis=1, out=ws[:, 1:])
+    us = np.empty_like(xs)
+    us[:, 0] = u_init
+    half_w = 0.25 * consts.age_norm * lam * dt
+    for k in range(m):
+        us[:, k + 1] = (us[:, k] * decay
+                        + half_w * (decay * xs[:, k] ** 2 + xs[:, k + 1] ** 2))
+    return xs, ws, us
+
+
+@pytest.mark.parametrize("cfg, kwargs", [
+    (SimConfig(n_paths=3, n_steps=200_000, dt=5e-5, seed=1004), {}),
+    (SimConfig(n_paths=4, n_steps=60, dt=0.75, seed=3), {"u_init": 0.4}),
+    (SimConfig(n_paths=7, n_steps=5000, dt=1e-3, seed=5, measure_mean=0.3),
+     {"x_init": 1.5, "u_init": 0.2}),
+    (SimConfig(n_paths=2, n_steps=0, dt=1e-3, seed=9), {}),
+    (SimConfig(n_paths=2, n_steps=1, dt=1e-3, seed=9, measure_mean=0.3), {}),
+], ids=["long", "block_one", "mean_x_init", "zero_steps", "one_step"])
+def test_simulate_matches_sequential_loop(defaults, cfg, kwargs):
+    # blocked evaluation along the time axis rounds differently from the
+    # step-by-step recursion, but only at the level of float64 round-off
+    params, consts = defaults
+    path = simulate(cfg, params, consts, **kwargs)
+    for got, want in zip((path.xs, path.ws, path.us),
+                         _sequential(cfg, params, consts, **kwargs)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+
+def test_simulate_memory_bounded(defaults):
+    # the three returned arrays plus O(n_steps + n_paths * block) scratch
+    params, consts = defaults
+    cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
+    tracemalloc.start()
+    try:
+        path = simulate(cfg, params, consts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * path.xs.nbytes
