@@ -42,6 +42,13 @@ def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
+def _steps(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _default_config() -> dict:
     params, state = build_defaults()
     cfg = {"a0": params.a0, "a1": params.a1, "a2": params.a2,
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--from", dest="lo", type=float, required=True)
     p.add_argument("--to", dest="hi", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_steps, required=True)
     p.add_argument("--hold-state", action="store_true",
                    help="keep (x, u) fixed even for lambda/epsilon sweeps")
     p.set_defaults(fn=cmd_sweep)
@@ -273,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--x-from", type=float, default=1.2)
     p.add_argument("--x-to", type=float, default=2.0)
-    p.add_argument("--x-steps", type=int, default=10)
+    p.add_argument("--x-steps", type=_steps, default=10)
     p.add_argument("--u-from", type=float, default=5.0)
     p.add_argument("--u-to", type=float, default=10.0)
-    p.add_argument("--u-steps", type=int, default=10)
+    p.add_argument("--u-steps", type=_steps, default=10)
     p.set_defaults(fn=cmd_volsurf)
 
     p = sub.add_parser("calibrate", help="solve the rate-matching cubic")

@@ -15,11 +15,18 @@ plus lam * u.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 class InvalidParamsError(ValueError):
     """Parameter set violates a model invariant."""
+
+
+def _require_finite(obj, names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise InvalidParamsError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,8 @@ class ModelParams:
     require_positive_dividend: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("a0", "a1", "a2", "lam", "rho", "epsilon",
+                               "gamma_agg", "alpha_mean"))
         for name in ("lam", "rho", "epsilon", "gamma_agg"):
             if not getattr(self, name) > 0.0:
                 raise InvalidParamsError(f"{name} must be positive")
@@ -89,6 +98,7 @@ class MarketState:
     u: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("x", "u"))
         if self.u < 0.0:
             raise InvalidParamsError("u must be nonnegative")
 

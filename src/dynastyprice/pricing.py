@@ -14,6 +14,12 @@ max(10/rho, 20/lam) and n_grid = 2001 and are refined until the
 a-posteriori tail and Richardson estimates meet rel_tol; the defaults
 alone do not reach 1e-8 for typical parameters.
 
+The slope h_x of the volatility surface h_x / h comes from the same
+grid without bumps: the integrand is an x part times
+e^{-(1 - e^{-lam tau}) u}, and the x part's derivative is closed form.
+`volatility` and `drift_star` still take Richardson-extrapolated
+centred differences on the grid refined for their single state.
+
 The zero-coupon bond is the untilted transform itself and needs no
 maturity integral: it is one closed-form evaluation at its maturity.
 """
@@ -182,8 +188,8 @@ def bond_price(state: MarketState, tau: float, params: ModelParams,
     The boundary values a(0) = 2 spd_quad, b(0) = spd_lin, c(0) = 0 make
     the exponent vanish at tau = 0.
     """
-    if tau < 0.0:
-        raise InvalidParamsError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise InvalidParamsError("tau must be finite and nonnegative")
     if tau == 0.0:
         return 1.0
     # closed forms: only the node at tau is read
@@ -218,27 +224,63 @@ def volatility(state: MarketState, params: ModelParams,
     return float(_slope_x(state, sol, params, consts, dx) / report.stock)
 
 
+def _stock_and_slope(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
+                     params: ModelParams, consts: DerivedConstants
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """S and h_x on the outer product of xs and us from one solution grid.
+
+    The integrand factorises into F(x, tau) G(u, tau) with
+    G = e^{-(1 - e^{-lam tau}) u}, so S is the product of the (len(xs), N)
+    matrix F with the Simpson-weighted (N, len(us)) matrix G, and h_x is
+    the same product with F_x, which is closed form:
+
+        F = e^{-spd_lin x - spd_quad x^2 + a x^2/2 + b x + c - rho tau} tilt
+        F_x = e^{...} [(x da + db) + tilt (a x + b - spd_lin - 2 spd_quad x)]
+
+    with tilt = da x^2/2 + db x + dc.  F and F_x are filled one x at a
+    time, so scratch memory is O((len(us) + c) N) whatever len(xs).
+    """
+    taus = sol.taus
+    w = _simpson_weights(len(taus), taus[1] - taus[0])
+    # u >= 0 and 1 - e^{-lam tau} in [0, 1) keep G in (e^{-u}, 1], so
+    # splitting it from F underflows nothing the joint exponential keeps
+    gw = np.outer(us, np.expm1(-consts.lam * taus))
+    np.exp(gw, out=gw)
+    gw *= w
+    lin_c = sol.c_vals - params.rho * taus
+    f = np.empty((2, taus.size))
+    s = np.empty((xs.size, us.size))
+    s_x = np.empty((xs.size, us.size))
+    for i, x in enumerate(xs):
+        tilt = (0.5 * x * x) * sol.da_vals + x * sol.db_vals + sol.dc_vals
+        efac = np.exp((0.5 * x * x) * sol.a_vals + x * sol.b_vals + lin_c
+                      - (consts.spd_lin * x + consts.spd_quad * x * x))
+        np.multiply(efac, tilt, out=f[0])
+        tilt *= x * sol.a_vals + (sol.b_vals - consts.spd_lin
+                                  - 2.0 * consts.spd_quad * x)
+        tilt += x * sol.da_vals + sol.db_vals
+        np.multiply(efac, tilt, out=f[1])
+        s[i], s_x[i] = f @ gw.T
+    return s, s_x
+
+
 def volatility_grid(xs, us, params: ModelParams, consts: DerivedConstants,
-                    q: QuadratureConfig | None = None,
-                    dx: float = 1e-4) -> np.ndarray:
+                    q: QuadratureConfig | None = None) -> np.ndarray:
     """h_x / h on the outer product of xs and us, sharing one solution grid.
 
-    Returns an (len(xs), len(us)) array; plain centred differences, which
-    is what the surface sweeps need (signs and shapes, not 1e-6 accuracy).
+    Returns an (len(xs), len(us)) array.  The grid is refined for the
+    median state; h_x is the closed-form x-derivative of the integrand
+    on that grid, so no state is bumped.
     """
     q = q or QuadratureConfig()
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    if xs.size == 0 or us.size == 0:
+        raise InvalidParamsError("volatility_grid needs at least one x and u")
     mid = MarketState(float(np.median(xs)), float(np.median(us)))
     sol, _ = _solve_grid(mid, params, consts, q)
-    out = np.empty((xs.size, us.size))
-    for j, uv in enumerate(us):
-        ufull = np.full(xs.size, uv)
-        sp = _stock_values(xs + dx, ufull, sol, params, consts)
-        sm = _stock_values(xs - dx, ufull, sol, params, consts)
-        sc = _stock_values(xs, ufull, sol, params, consts)
-        out[:, j] = (sp - sm) / (2.0 * dx) / sc
-    return out
+    s, s_x = _stock_and_slope(xs, us, sol, params, consts)
+    return s_x / s
 
 
 def drift_star(state: MarketState, a_star: float, params: ModelParams,

@@ -179,3 +179,28 @@ def test_run_sweep_lambda_recomputes_u():
     held = run_sweep("lambda", 1.0, 2.0, 3, cfg_map, hold_state=True)
     assert rows[0][1].stock != held[0][1].stock
     assert rows[-1][1].stock == pytest.approx(held[-1][1].stock, rel=1e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--set", "x=nan"],
+    ["price", "--set", "u=inf"],
+    ["price", "--set", "alpha_mean=nan"],
+    ["price", "--set", "a1=nan"],
+    ["price", "--set", "epsilon=inf"],
+    ["rate", "--set", "x=nan"],
+    ["bond", "--tau", "inf"],
+    ["volsurf", "--x-steps", "0"],
+    ["volsurf", "--u-steps", "0"],
+    ["volsurf", "--x-steps", "-2"],
+    ["sweep", "--param", "rho", "--from", "0.02", "--to", "0.08",
+     "--steps", "-1"],
+], ids=" ".join)
+def test_bad_input_exits_config(capsys, argv):
+    # non-finite values and empty grids are config errors, whether the
+    # parser (SystemExit) or the command (return code) rejects them
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""

@@ -1,15 +1,20 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dynastyprice import (MarketState, ModelParams, QuadratureConfig,
-                          SimConfig, bond_price, derive_constants, dividend,
-                          drift_star, expected_u, pde_residual, short_rate,
-                          simulate, stock_price, volatility)
+from dynastyprice import (InvalidParamsError, MarketState, ModelParams,
+                          QuadratureConfig, SimConfig, bond_price,
+                          derive_constants, dividend, drift_star, expected_u,
+                          pde_residual, short_rate, simulate, stock_price,
+                          volatility, volatility_grid)
 from dynastyprice.calibration import build_defaults
-from dynastyprice.pricing import _solve_grid, _stock_values
+from dynastyprice.odes import OdeInputs, abc_eval
+from dynastyprice.pricing import (_slope_x, _solve_grid, _stock_and_slope,
+                                  _stock_values)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +100,69 @@ def test_volatility_bump_robustness(defaults):
     v1 = volatility(state, params, consts, dx=1e-4)
     v2 = volatility(state, params, consts, dx=5e-5)
     assert v1 == pytest.approx(v2, rel=1e-6)
+
+
+# the three parameter sets of the benchmark's surface workload
+SURFACE_SETS = {"defaults": {},
+                "lam2.5_eps0.6_rho0.05": {"lam": 2.5, "epsilon": 0.6,
+                                          "rho": 0.05},
+                "lam1.2_rho0.06": {"lam": 1.2, "rho": 0.06}}
+
+
+@pytest.mark.parametrize("over", SURFACE_SETS.values(), ids=SURFACE_SETS)
+def test_volatility_grid_matches_richardson_slope(defaults, over):
+    # the closed-form slope against Richardson-bumped prices on the same
+    # grid, which volatility_grid solves at the window's median state
+    params = replace(defaults[0], **over)
+    consts = derive_constants(params)
+    xs = np.linspace(1.2, 2.0, 4)
+    us = np.linspace(5.0, 10.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = volatility_grid(xs, us, params, consts)
+    mid = MarketState(float(np.median(xs)), float(np.median(us)))
+    sol, _ = _solve_grid(mid, params, consts, QuadratureConfig())
+    want = np.array([[_slope_x(MarketState(x, u), sol, params, consts, 1e-4)
+                      / _stock_values(x, u, sol, params, consts)[0]
+                      for u in us] for x in xs])
+    assert grid.shape == (4, 3)
+    np.testing.assert_allclose(grid, want, rtol=1e-8, atol=0.0)
+
+
+def test_volatility_grid_rejects_empty_axis(defaults):
+    params, _, consts = defaults
+    for xs, us in (([], [5.0]), ([1.5], [])):
+        with pytest.raises(InvalidParamsError):
+            volatility_grid(xs, us, params, consts)
+
+
+def test_surface_memory_independent_of_x_count(defaults):
+    # scratch memory is O((n_u + c) N): it must not grow with len(xs), and
+    # the bound must catch a pass that holds (n_x, N) integrand matrices
+    params, _, consts = defaults
+    sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                             tau_max=100.0, n_grid=20_001))
+    us = np.linspace(5.0, 10.0, 3)
+    node_bytes = 8 * sol.taus.size
+    bound = (us.size + 10) * node_bytes
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few = peak(_stock_and_slope, np.linspace(1.2, 2.0, 4), us, sol, params,
+               consts)
+    xs = np.linspace(1.2, 2.0, 40)
+    many = peak(_stock_and_slope, xs, us, sol, params, consts)
+    assert many < bound
+    assert many - few < node_bytes
+    one_bump = peak(_stock_values, xs, np.full(xs.size, 7.5), sol, params,
+                    consts)
+    assert one_bump > bound
 
 
 def test_drift_zero_risk_coefficient(defaults):
