@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import InvalidParamsError, MarketState, ModelParams, derive_constants
+from .model import (InvalidParamsError, MarketState, ModelParams,
+                    _require_finite, derive_constants)
 
 
 class NoPositiveRootError(ArithmeticError):
@@ -30,6 +31,7 @@ class CalibrationTarget:
     rho: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("risk_aversion", "expected_rate", "lam", "rho"))
         if not self.risk_aversion > 0.0 or not self.lam > 0.0:
             raise InvalidParamsError("risk_aversion and lam must be positive")
 

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .calibration import CalibrationTarget, build_defaults, expected_rate, solve_gamma
+from .calibration import (CalibrationTarget, NoPositiveRootError,
+                          build_defaults, expected_rate, solve_gamma)
 from .model import (InvalidParamsError, MarketState, ModelParams,
                     derive_constants, short_rate)
 from .odes import DegenerateGError, QuadratureToleranceError, StepSizeUnderflowError
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidParamsError) as exc:
+    except (ConfigError, InvalidParamsError, NoPositiveRootError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:

@@ -54,7 +54,8 @@ class DegenerateGError(ArithmeticError):
 
 
 class QuadratureToleranceError(ArithmeticError):
-    """Maturity-quadrature refinement exhausted before meeting rel_tol."""
+    """Maturity-quadrature refinement hit its node budget before meeting
+    rel_tol."""
 
 
 class StepSizeUnderflowError(ArithmeticError):
@@ -72,8 +73,8 @@ class OdeInputs:
     def __post_init__(self) -> None:
         if not self.tau_max > 0.0:
             raise InvalidParamsError("tau_max must be positive")
-        if self.n_grid < 3 or self.n_grid % 2 == 0:
-            raise InvalidParamsError("n_grid must be odd and >= 3 (Simpson)")
+        if self.n_grid < 2:
+            raise InvalidParamsError("n_grid must be >= 2")
 
 
 @dataclass(frozen=True)

@@ -261,7 +261,7 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
 
     sol = abc_eval(OdeInputs(theta=theta, params=params, consts=consts,
                              tau_max=t_final,
-                             n_grid=_odd(max(int(round(t_final / dt)), 4) + 1)))
+                             n_grid=max(int(round(t_final / dt)), 4) + 1))
 
     def v_closed(t_now: float, x: np.ndarray) -> np.ndarray:
         tau = t_final - t_now
@@ -304,7 +304,3 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
         pooled_se = float(np.sqrt(np.sum(errs ** 2)) / n_outer)
         worst = max(worst, abs(pooled / pooled_se))
     return worst
-
-
-def _odd(n: int) -> int:
-    return n if n % 2 == 1 else n + 1

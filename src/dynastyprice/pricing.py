@@ -9,16 +9,18 @@ transform, integrated over maturities:
 
 evaluated by composite Simpson on the closed-form grid.  The integrand
 decays exactly like e^{-rho tau} once the transient (rate lam) has died
-out, so the truncation horizon and grid density start from
-max(10/rho, 20/lam) and n_grid = 2001 and are refined until the
-a-posteriori tail and Richardson estimates meet rel_tol; the defaults
-alone do not reach 1e-8 for typical parameters.
+out, so the truncation horizon and node spacing start from
+max(10/rho, 20/lam) and 0.005 and are refined until the a-posteriori
+tail and Richardson estimates meet rel_tol, within MAX_NODES nodes.
 
-The slope h_x of the volatility surface h_x / h comes from the same
-grid without bumps: the integrand is an x part times
-e^{-(1 - e^{-lam tau}) u}, and the x part's derivative is closed form.
-`volatility` and `drift_star` still take Richardson-extrapolated
-centred differences on the grid refined for their single state.
+The integrand is an x part F(x, tau) times the u part
+G(u, tau) = e^{-(1 - e^{-lam tau}) u}, and F_x is closed form, so the
+slope h_x needs no bumps.  `_x_part` and `_u_part` are the only code that
+forms the integrand: the grid solve multiplies them for its one state,
+and `volatility`, `drift_star`, `volatility_grid` and `pde_residual` take
+S and h_x from `_stock_and_slope` on a solved grid.  `pde_residual`
+keeps finite-difference stencils over those S values as an independent
+check of the pricing PDE.
 
 The zero-coupon bond is the untilted transform itself and needs no
 maturity integral: it is one closed-form evaluation at its maturity.
@@ -36,16 +38,23 @@ from .model import (DerivedConstants, InvalidParamsError, MarketState,
 from .odes import OdeInputs, OdeSolution, QuadratureToleranceError, abc_eval
 
 
+# Node budget of the grid refinement.  The largest grids the test suite and
+# the benchmark workloads solve have under 280,000 nodes (391,441 at
+# rel_tol 1e-10 at the defaults), so the budget leaves over fourfold
+# headroom, while a state the grid cannot resolve (u in the hundreds puts
+# the integrand within 1/(lam u) of tau = 0) fails in seconds, not minutes.
+MAX_NODES = 2 ** 21 + 1
+
+
 class DivergentIntegralError(ArithmeticError):
-    """Maturity integrand is not decaying at the truncation horizon."""
+    """Maturity integrand is not decaying at the truncation horizon, or the
+    integrand, the price or its slope is not finite (overflowing state)."""
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     tau_max: float | None = None    # None: max(10/rho, 20/lam), auto-extended
     rel_tol: float = 1e-8
-    n_grid: int | None = None       # None: 2001, auto-refined
-    max_refinements: int = 8
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0.0:
@@ -75,40 +84,65 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _integrand_matrix(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
-                      params: ModelParams, consts: DerivedConstants
-                      ) -> np.ndarray:
-    """Maturity integrand (including the state prefactor) per state row."""
+def _u_part(us, sol: OdeSolution, consts: DerivedConstants) -> np.ndarray:
+    """G = e^{-(1 - e^{-lam tau}) u} on the grid, one row per u."""
+    # u >= 0 and 1 - e^{-lam tau} in [0, 1) keep G in (e^{-u}, 1], so
+    # splitting it from F underflows nothing the joint exponential keeps
+    g = np.outer(us, np.expm1(-consts.lam * sol.taus))
+    return np.exp(g, out=g)
+
+
+def _x_part(x: float, sol: OdeSolution, params: ModelParams,
+            consts: DerivedConstants, out: np.ndarray) -> None:
+    """Fill out[0] with F(x, tau) and out[1] with its closed-form F_x:
+
+        F = e^{-spd_lin x - spd_quad x^2 + a x^2/2 + b x + c - rho tau} tilt
+        F_x = e^{...} [(x da + db) + tilt (a x + b - spd_lin - 2 spd_quad x)]
+
+    with tilt = da x^2/2 + db x + dc.
+    """
+    tilt = (0.5 * x * x) * sol.da_vals + x * sol.db_vals + sol.dc_vals
+    efac = np.exp((0.5 * x * x) * sol.a_vals + x * sol.b_vals
+                  + (sol.c_vals - params.rho * sol.taus)
+                  - (consts.spd_lin * x + consts.spd_quad * x * x))
+    np.multiply(efac, tilt, out=out[0])
+    tilt *= x * sol.a_vals + (sol.b_vals - consts.spd_lin
+                              - 2.0 * consts.spd_quad * x)
+    tilt += x * sol.da_vals + sol.db_vals
+    np.multiply(efac, tilt, out=out[1])
+
+
+def _stock_and_slope(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
+                     params: ModelParams, consts: DerivedConstants
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """S and h_x on the outer product of xs and us from one solution grid.
+
+    S is the product of the (len(xs), N) matrix F with the
+    Simpson-weighted (N, len(us)) matrix G, and h_x the same product with
+    F_x.  F and F_x are filled one x at a time, so scratch memory is
+    O((len(us) + c) N) whatever len(xs).
+    """
     taus = sol.taus
-    lam, rho = consts.lam, params.rho
-    tilt = (0.5 * np.outer(xs * xs, sol.da_vals) + np.outer(xs, sol.db_vals)
-            + sol.dc_vals[None, :])
-    expo = ((-rho * taus)[None, :]
-            - np.outer(us, 1.0 - np.exp(-lam * taus))
-            + 0.5 * np.outer(xs * xs, sol.a_vals)
-            + np.outer(xs, sol.b_vals) + sol.c_vals[None, :])
-    pref = np.exp(-consts.spd_lin * xs - consts.spd_quad * xs * xs)
-    return pref[:, None] * tilt * np.exp(expo)
-
-
-def _stock_values(xs, us, sol: OdeSolution, params, consts) -> np.ndarray:
-    """Stock prices for many states from one shared solution grid."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    integ = _integrand_matrix(xs, us, sol, params, consts)
-    w = _simpson_weights(len(sol.taus), sol.taus[1] - sol.taus[0])
-    return integ @ w
+    gw = _u_part(us, sol, consts)
+    gw *= _simpson_weights(len(taus), taus[1] - taus[0])
+    f = np.empty((2, taus.size))
+    s = np.empty((xs.size, us.size))
+    s_x = np.empty((xs.size, us.size))
+    for i, x in enumerate(xs):
+        _x_part(x, sol, params, consts, f)
+        s[i], s_x[i] = f @ gw.T
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(s_x))):
+        raise DivergentIntegralError("stock price or its slope is not finite")
+    return s, s_x
 
 
 def _resolve_grid(params: ModelParams, q: QuadratureConfig) -> tuple[float, int]:
     tau_max = q.tau_max
     if tau_max is None:
         tau_max = max(10.0 / params.rho, 20.0 / params.lam)
-    n_grid = q.n_grid
-    if n_grid is None:
-        # density h ~ 0.005 resolves the maturity integrand's transients on
-        # the 1/lam scale for the Simpson rule; refinement handles the rest
-        n_grid = max(2001, math.ceil(tau_max / 0.005))
+    # density h ~ 0.005 resolves the maturity integrand's transients on
+    # the 1/lam scale for the Simpson rule; refinement handles the rest
+    n_grid = max(2001, math.ceil(tau_max / 0.005))
     if n_grid % 2 == 0:
         n_grid += 1
     return float(tau_max), int(n_grid)
@@ -119,13 +153,21 @@ def _solve_grid(state: MarketState, params: ModelParams,
                 ) -> tuple[OdeSolution, PriceReport]:
     """Refine (tau_max, n_grid) until tail and grid-error bounds hold."""
     tau_max, n_grid = _resolve_grid(params, q)
-    x = np.array([state.x])
-    u = np.array([state.u])
 
-    for _ in range(q.max_refinements + 1):
+    while True:
+        if n_grid > MAX_NODES:
+            raise QuadratureToleranceError(
+                f"refinement needs {n_grid} nodes, above the budget of "
+                f"{MAX_NODES}, at tau_max={tau_max:.1f}, "
+                f"rel_tol={q.rel_tol:.0e}")
         sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
                                  tau_max=tau_max, n_grid=n_grid))
-        integ = _integrand_matrix(x, u, sol, params, consts)[0]
+        f = np.empty((2, n_grid))
+        _x_part(state.x, sol, params, consts, f)
+        integ = f[0] * _u_part([state.u], sol, consts)[0]
+        if not np.all(np.isfinite(integ)):
+            raise DivergentIntegralError(
+                f"integrand not finite at x={state.x:.6g}, u={state.u:.6g}")
         h = sol.taus[1] - sol.taus[0]
         w = _simpson_weights(n_grid, h)
         total = float(integ @ w)
@@ -165,10 +207,6 @@ def _solve_grid(state: MarketState, params: ModelParams,
         if need_grid:
             n_grid = 2 * n_grid - 1
 
-    raise QuadratureToleranceError(
-        f"refinement exhausted at tau_max={tau_max:.1f}, n_grid={n_grid}, "
-        f"rel_tol={q.rel_tol:.0e}")
-
 
 def stock_price(state: MarketState, params: ModelParams,
                 consts: DerivedConstants, q: QuadratureConfig | None = None
@@ -192,9 +230,9 @@ def bond_price(state: MarketState, tau: float, params: ModelParams,
         raise InvalidParamsError("tau must be finite and nonnegative")
     if tau == 0.0:
         return 1.0
-    # closed forms: only the node at tau is read
+    # closed forms: the grid is just [0, tau] and only tau is read
     sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
-                             tau_max=tau, n_grid=3))
+                             tau_max=tau, n_grid=2))
     x, u = state.x, state.u
     expo = ((0.5 * sol.a_vals[-1] - consts.spd_quad) * x * x
             + (sol.b_vals[-1] - consts.spd_lin) * x + sol.c_vals[-1]
@@ -202,66 +240,16 @@ def bond_price(state: MarketState, tau: float, params: ModelParams,
     return float(np.exp(expo))
 
 
-def _slope_x(state: MarketState, sol: OdeSolution, params: ModelParams,
-             consts: DerivedConstants, dx: float) -> float:
-    """h_x by Richardson-extrapolated centred differences at bumps dx and
-    dx/2, on a solution grid already refined for the state."""
-    u = np.full(4, state.u)
-    xs = state.x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx])
-    s = _stock_values(xs, u, sol, params, consts)
-    d1 = (s[0] - s[1]) / (2.0 * dx)
-    d2 = (s[2] - s[3]) / dx
-    return (4.0 * d2 - d1) / 3.0
-
-
 def volatility(state: MarketState, params: ModelParams,
-               consts: DerivedConstants, q: QuadratureConfig | None = None,
-               dx: float = 1e-4) -> float:
-    """Instantaneous stock volatility h_x / h by Richardson-extrapolated
-    centred differences at bumps dx and dx/2."""
+               consts: DerivedConstants, q: QuadratureConfig | None = None
+               ) -> float:
+    """Instantaneous stock volatility h_x / h, with the closed-form slope
+    on the grid refined for the state."""
     q = q or QuadratureConfig()
-    sol, report = _solve_grid(state, params, consts, q)
-    return float(_slope_x(state, sol, params, consts, dx) / report.stock)
-
-
-def _stock_and_slope(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
-                     params: ModelParams, consts: DerivedConstants
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """S and h_x on the outer product of xs and us from one solution grid.
-
-    The integrand factorises into F(x, tau) G(u, tau) with
-    G = e^{-(1 - e^{-lam tau}) u}, so S is the product of the (len(xs), N)
-    matrix F with the Simpson-weighted (N, len(us)) matrix G, and h_x is
-    the same product with F_x, which is closed form:
-
-        F = e^{-spd_lin x - spd_quad x^2 + a x^2/2 + b x + c - rho tau} tilt
-        F_x = e^{...} [(x da + db) + tilt (a x + b - spd_lin - 2 spd_quad x)]
-
-    with tilt = da x^2/2 + db x + dc.  F and F_x are filled one x at a
-    time, so scratch memory is O((len(us) + c) N) whatever len(xs).
-    """
-    taus = sol.taus
-    w = _simpson_weights(len(taus), taus[1] - taus[0])
-    # u >= 0 and 1 - e^{-lam tau} in [0, 1) keep G in (e^{-u}, 1], so
-    # splitting it from F underflows nothing the joint exponential keeps
-    gw = np.outer(us, np.expm1(-consts.lam * taus))
-    np.exp(gw, out=gw)
-    gw *= w
-    lin_c = sol.c_vals - params.rho * taus
-    f = np.empty((2, taus.size))
-    s = np.empty((xs.size, us.size))
-    s_x = np.empty((xs.size, us.size))
-    for i, x in enumerate(xs):
-        tilt = (0.5 * x * x) * sol.da_vals + x * sol.db_vals + sol.dc_vals
-        efac = np.exp((0.5 * x * x) * sol.a_vals + x * sol.b_vals + lin_c
-                      - (consts.spd_lin * x + consts.spd_quad * x * x))
-        np.multiply(efac, tilt, out=f[0])
-        tilt *= x * sol.a_vals + (sol.b_vals - consts.spd_lin
-                                  - 2.0 * consts.spd_quad * x)
-        tilt += x * sol.da_vals + sol.db_vals
-        np.multiply(efac, tilt, out=f[1])
-        s[i], s_x[i] = f @ gw.T
-    return s, s_x
+    sol, _ = _solve_grid(state, params, consts, q)
+    s, s_x = _stock_and_slope(np.array([state.x]), np.array([state.u]), sol,
+                              params, consts)
+    return float(s_x[0, 0] / s[0, 0])
 
 
 def volatility_grid(xs, us, params: ModelParams, consts: DerivedConstants,
@@ -289,9 +277,10 @@ def drift_star(state: MarketState, a_star: float, params: ModelParams,
     """Expected stock return under the measure with true reversion level
     a_star: [r h - delta + (lam a_star - 2 spd_quad x - spd_lin) h_x] / h."""
     q = q or QuadratureConfig()
-    sol, report = _solve_grid(state, params, consts, q)
-    h_x = _slope_x(state, sol, params, consts, 1e-4)
-    h = report.stock
+    sol, _ = _solve_grid(state, params, consts, q)
+    s, s_x = _stock_and_slope(np.array([state.x]), np.array([state.u]), sol,
+                              params, consts)
+    h, h_x = s[0, 0], s_x[0, 0]
     r = short_rate(state, consts)
     risk_coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
     return float((r * h - dividend(state.x, params) + risk_coef * h_x) / h)
@@ -304,22 +293,23 @@ def pde_residual(xs, us, params: ModelParams, consts: DerivedConstants,
 
     Residual of h_xx/2 + (spd_lin + (2 spd_quad - lam) x) h_x
     + lam (A/2 x^2 - u) h_u - r h + delta with second-order centred
-    stencils, scaled by |r h| + 1.
+    stencils, scaled by |r h| + 1.  The stencils take S on
+    (xs, xs + dx, xs - dx) x (us, us + du, us - du) from one evaluator
+    call and ignore its closed-form slope, so they check it independently.
     """
     q = q or QuadratureConfig()
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
-    mid_x = float(np.median(xs))
-    mid_u = float(np.median(us))
-    sol, _ = _solve_grid(MarketState(mid_x, mid_u), params, consts, q)
+    nx, nu = xs.size, us.size
+    mid = MarketState(float(np.median(xs)), float(np.median(us)))
+    sol, _ = _solve_grid(mid, params, consts, q)
 
-    xg, ug = np.meshgrid(xs, us, indexing="ij")
-    xf, uf = xg.ravel(), ug.ravel()
-    n = xf.size
-    px = np.concatenate([xf, xf + dx, xf - dx, xf, xf])
-    pu = np.concatenate([uf, uf, uf, uf + du, uf - du])
-    vals = _stock_values(px, pu, sol, params, consts)
-    h0, hxp, hxm, hup, hum = (vals[i * n:(i + 1) * n] for i in range(5))
+    s, _ = _stock_and_slope(np.concatenate([xs, xs + dx, xs - dx]),
+                            np.concatenate([us, us + du, us - du]),
+                            sol, params, consts)
+    h0, hup, hum = s[:nx, :nu], s[:nx, nu:2 * nu], s[:nx, 2 * nu:]
+    hxp, hxm = s[nx:2 * nx, :nu], s[2 * nx:, :nu]
+    xf, uf = np.meshgrid(xs, us, indexing="ij")
 
     h_x = (hxp - hxm) / (2.0 * dx)
     h_xx = (hxp - 2.0 * h0 + hxm) / (dx * dx)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dynastyprice import MarketState, derive_constants, short_rate
@@ -194,6 +195,9 @@ def test_run_sweep_lambda_recomputes_u():
     ["volsurf", "--x-steps", "-2"],
     ["sweep", "--param", "rho", "--from", "0.02", "--to", "0.08",
      "--steps", "-1"],
+    ["calibrate", "--lam", "0.4"],
+    ["calibrate", "--target-rate", "inf"],
+    ["calibrate", "--rho", "nan"],
 ], ids=" ".join)
 def test_bad_input_exits_config(capsys, argv):
     # non-finite values and empty grids are config errors, whether the
@@ -204,3 +208,19 @@ def test_bad_input_exits_config(capsys, argv):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--set", "x=1e200"],
+    ["volsurf", "--x-from", "1e200", "--x-to", "1e200", "--x-steps", "1",
+     "--u-steps", "1"],
+], ids=" ".join)
+def test_overflowing_state_exits_numerical(capsys, argv):
+    # a finite state whose integrand overflows is a numerical failure,
+    # not a NaN price
+    with np.errstate(all="ignore"):
+        code = main(argv)
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert "numerical failure" in out.err

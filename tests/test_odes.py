@@ -9,8 +9,9 @@ import pytest
 from scipy.integrate import simpson
 
 import dynastyprice
-from dynastyprice import (DegenerateGError, DerivedConstants, OdeInputs,
-                          abc_eval, abc_numeric, derive_constants, g_closed)
+from dynastyprice import (DegenerateGError, DerivedConstants, InvalidParamsError,
+                          OdeInputs, abc_eval, abc_numeric, derive_constants,
+                          g_closed)
 from dynastyprice.calibration import build_defaults
 
 
@@ -71,6 +72,22 @@ def test_degenerate_g_detected(defaults):
     with pytest.raises(DegenerateGError):
         abc_eval(OdeInputs(theta=0.0, params=bad, consts=consts,
                            tau_max=10.0, n_grid=2001))
+
+
+def test_two_node_grid(defaults):
+    # the closed forms need no quadrature, so [0, tau] is a valid grid
+    params, consts = defaults
+    sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                             tau_max=2.5, n_grid=2))
+    fine = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                              tau_max=2.5, n_grid=2001))
+    np.testing.assert_array_equal(sol.taus, [0.0, 2.5])
+    for got, want in ((sol.a_vals, fine.a_vals), (sol.b_vals, fine.b_vals),
+                      (sol.c_vals, fine.c_vals), (sol.dc_vals, fine.dc_vals)):
+        assert got[-1] == pytest.approx(want[-1], rel=1e-13)
+    with pytest.raises(InvalidParamsError):
+        OdeInputs(theta=0.0, params=params, consts=consts, tau_max=2.5,
+                  n_grid=1)
 
 
 def test_boundary_values(defaults):

@@ -11,16 +11,33 @@ from dynastyprice import (InvalidParamsError, MarketState, ModelParams,
                           derive_constants, dividend, drift_star, expected_u,
                           pde_residual, short_rate, simulate, stock_price,
                           volatility, volatility_grid)
+from dynastyprice import pricing
 from dynastyprice.calibration import build_defaults
-from dynastyprice.odes import OdeInputs, abc_eval
-from dynastyprice.pricing import (_slope_x, _solve_grid, _stock_and_slope,
-                                  _stock_values)
+from dynastyprice.odes import (OdeInputs, OdeSolution, QuadratureToleranceError,
+                              abc_eval)
+from dynastyprice.pricing import (MAX_NODES, DivergentIntegralError,
+                                  _simpson_weights, _solve_grid,
+                                  _stock_and_slope, _u_part, _x_part)
 
 
 @pytest.fixture(scope="module")
 def defaults():
     params, state = build_defaults()
     return params, state, derive_constants(params)
+
+
+def _stock_at(x, u, sol, params, consts):
+    return _stock_and_slope(np.array([x]), np.array([u]), sol, params,
+                            consts)[0][0, 0]
+
+
+def _richardson_slope(x, u, sol, params, consts, dx=1e-4):
+    # centred differences of S at bumps dx and dx/2, extrapolated; S comes
+    # from the F rows of the evaluator, a separate formula from its F_x
+    s, _ = _stock_and_slope(x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx]),
+                            np.array([u]), sol, params, consts)
+    s = s[:, 0]
+    return (4.0 * (s[2] - s[3]) / dx - (s[0] - s[1]) / (2.0 * dx)) / 3.0
 
 
 # ---------------------------------------------------------------- bond
@@ -95,13 +112,6 @@ def test_volatility_even_symmetry():
     assert abs(vol) < 1e-9
 
 
-def test_volatility_bump_robustness(defaults):
-    params, state, consts = defaults
-    v1 = volatility(state, params, consts, dx=1e-4)
-    v2 = volatility(state, params, consts, dx=5e-5)
-    assert v1 == pytest.approx(v2, rel=1e-6)
-
-
 # the three parameter sets of the benchmark's surface workload
 SURFACE_SETS = {"defaults": {},
                 "lam2.5_eps0.6_rho0.05": {"lam": 2.5, "epsilon": 0.6,
@@ -122,11 +132,30 @@ def test_volatility_grid_matches_richardson_slope(defaults, over):
         grid = volatility_grid(xs, us, params, consts)
     mid = MarketState(float(np.median(xs)), float(np.median(us)))
     sol, _ = _solve_grid(mid, params, consts, QuadratureConfig())
-    want = np.array([[_slope_x(MarketState(x, u), sol, params, consts, 1e-4)
-                      / _stock_values(x, u, sol, params, consts)[0]
+    want = np.array([[_richardson_slope(x, u, sol, params, consts)
+                      / _stock_at(x, u, sol, params, consts)
                       for u in us] for x in xs])
     assert grid.shape == (4, 3)
     np.testing.assert_allclose(grid, want, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("over", SURFACE_SETS.values(), ids=SURFACE_SETS)
+def test_volatility_and_drift_match_richardson_slope(defaults, over):
+    # volatility and drift_star take the closed-form slope on the grid
+    # refined for their state; compare with bumped prices on that grid
+    params = replace(defaults[0], **over)
+    consts = derive_constants(params)
+    state, a_star = MarketState(1.6, 7.5), 2.2
+    sol, _ = _solve_grid(state, params, consts, QuadratureConfig())
+    h = _stock_at(state.x, state.u, sol, params, consts)
+    h_x = _richardson_slope(state.x, state.u, sol, params, consts)
+    coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
+    mu = (short_rate(state, consts) * h - dividend(state.x, params)
+          + coef * h_x) / h
+    assert volatility(state, params, consts) == pytest.approx(h_x / h,
+                                                              rel=1e-8)
+    assert drift_star(state, a_star, params, consts) == pytest.approx(
+        mu, rel=1e-8)
 
 
 def test_volatility_grid_rejects_empty_axis(defaults):
@@ -160,9 +189,8 @@ def test_surface_memory_independent_of_x_count(defaults):
     many = peak(_stock_and_slope, xs, us, sol, params, consts)
     assert many < bound
     assert many - few < node_bytes
-    one_bump = peak(_stock_values, xs, np.full(xs.size, 7.5), sol, params,
-                    consts)
-    assert one_bump > bound
+    # one (n_x, N) matrix, as a joint-exponent pass over all x would hold
+    assert peak(np.outer, xs, sol.taus) > bound
 
 
 def test_drift_zero_risk_coefficient(defaults):
@@ -179,15 +207,13 @@ def test_drift_decomposition(defaults):
     params, state, consts = defaults
     a_star = 2.01
     mu = drift_star(state, a_star, params, consts)
-    sol, rep = _solve_grid(state, params, consts, QuadratureConfig())
-    dx = 1e-4
-    us4 = np.full(4, state.u)
-    xs4 = state.x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx])
-    s = _stock_values(xs4, us4, sol, params, consts)
-    h_x = (4.0 * (s[2] - s[3]) / dx - (s[0] - s[1]) / (2.0 * dx)) / 3.0
+    sol, _ = _solve_grid(state, params, consts, QuadratureConfig())
+    s, s_x = _stock_and_slope(np.array([state.x]), np.array([state.u]), sol,
+                              params, consts)
+    h, h_x = s[0, 0], s_x[0, 0]
     coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
-    want = (short_rate(state, consts) * rep.stock - dividend(state.x, params)
-            + coef * h_x) / rep.stock
+    want = (short_rate(state, consts) * h - dividend(state.x, params)
+            + coef * h_x) / h
     assert mu == pytest.approx(want, rel=1e-12)
 
 
@@ -210,17 +236,16 @@ def test_drift_against_one_step_simulation(defaults):
     u1 = state.u * decay + 0.25 * consts.age_norm * lam * dt * (
         decay * state.x ** 2 + x1 ** 2)
 
+    # S at each (x1, u1) pair: the pairs share no axis, so one x part and
+    # one u part per state
+    w = _simpson_weights(sol.taus.size, sol.taus[1] - sol.taus[0])
+    f = np.empty((2, sol.taus.size))
     s1 = np.empty(n)
-    block = 2000
-    for i in range(0, n, block):
-        s1[i:i + block] = _stock_values(x1[i:i + block], u1[i:i + block],
-                                        sol, params, consts)
+    for i in range(n):
+        _x_part(x1[i], sol, params, consts, f)
+        s1[i] = f[0] @ (w * _u_part([u1[i]], sol, consts)[0])
     # control variate: remove the h_x (X - E X) fluctuation, mean known = 0
-    us4 = np.full(4, state.u)
-    dx = 1e-4
-    xs4 = state.x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx])
-    sb = _stock_values(xs4, us4, sol, params, consts)
-    h_x = (4.0 * (sb[2] - sb[3]) / dx - (sb[0] - sb[1]) / (2.0 * dx)) / 3.0
+    h_x = _richardson_slope(state.x, state.u, sol, params, consts)
     mean_x1 = a_star + (state.x - a_star) * decay
     y = (s1 - rep.stock) / dt - h_x * (x1 - mean_x1) / dt
     se = y.std(ddof=1) / math.sqrt(n)
@@ -239,20 +264,38 @@ def test_pde_residual_small_and_second_order(defaults):
     assert 2.0 < r1 / r2 < 8.0
 
 
+def test_pde_residual_memory_bounded(defaults):
+    # one evaluator call over the shifted axes holds O(3 n_u N) scratch
+    # beyond the grid solve; five stacked (n_x n_u, N) stencil matrices
+    # held about 190 N floats at this size
+    params, state, consts = defaults
+    xs = np.linspace(state.x - 0.1, state.x + 0.1, 3)
+    us = np.linspace(state.u - 0.1, state.u + 0.1, 3)
+    mid = MarketState(float(np.median(xs)), float(np.median(us)))
+    sol, _ = _solve_grid(mid, params, consts, QuadratureConfig())
+    tracemalloc.start()
+    try:
+        pde_residual(xs, us, params, consts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 8 * sol.taus.size
+
+
 def test_pde_u_direction_semi_analytic(defaults):
     # u enters S only through exp(-(1 - e^{-lam tau}) u); compare the
     # centred h_u against the exact weighted integral
     params, state, consts = defaults
     q = QuadratureConfig()
-    sol, rep = _solve_grid(state, params, consts, q)
-    from dynastyprice.pricing import _integrand_matrix, _simpson_weights
-    integ = _integrand_matrix(np.array([state.x]), np.array([state.u]),
-                              sol, params, consts)[0]
+    sol, _ = _solve_grid(state, params, consts, q)
+    f = np.empty((2, sol.taus.size))
+    _x_part(state.x, sol, params, consts, f)
+    integ = f[0] * _u_part([state.u], sol, consts)[0]
     w = _simpson_weights(len(sol.taus), sol.taus[1] - sol.taus[0])
     exact_hu = -np.sum(w * integ * (1.0 - np.exp(-params.lam * sol.taus)))
     du = 1e-3
-    up = _stock_values(state.x, state.u + du, sol, params, consts)[0]
-    um = _stock_values(state.x, state.u - du, sol, params, consts)[0]
+    up = _stock_at(state.x, state.u + du, sol, params, consts)
+    um = _stock_at(state.x, state.u - du, sol, params, consts)
     assert (up - um) / (2 * du) == pytest.approx(exact_hu, rel=1e-6)
 
 
@@ -277,6 +320,41 @@ def test_expected_u_against_time_average(defaults):
     batches = u[: (len(u) // 8000) * 8000].reshape(-1, 8000).mean(axis=1)
     se = batches.std(ddof=1) / math.sqrt(len(batches))
     assert abs(u.mean() - target) < 3 * se
+
+
+def test_refinement_stops_at_node_budget(defaults, monkeypatch):
+    # at u = 850 the integrand sits within 1/(lam u) of tau = 0, so the
+    # Richardson estimate keeps failing; no grid above the budget may be
+    # solved.  The exponent functions are stubbed flat (tilt 1), which
+    # keeps the spike in G and makes each solve cheap.
+    params, state, consts = defaults
+    asked = []
+
+    def flat(inputs):
+        asked.append(inputs.n_grid)
+        taus = np.linspace(0.0, inputs.tau_max, inputs.n_grid)
+        zero = np.zeros_like(taus)
+        return OdeSolution(taus=taus, a_vals=zero, b_vals=zero, c_vals=zero,
+                           da_vals=zero, db_vals=zero,
+                           dc_vals=np.ones_like(taus))
+
+    monkeypatch.setattr(pricing, "abc_eval", flat)
+    with pytest.raises(QuadratureToleranceError):
+        _solve_grid(MarketState(state.x, 850.0), params, consts,
+                    QuadratureConfig())
+    assert asked and max(asked) <= MAX_NODES
+    assert 2 * max(asked) - 1 > MAX_NODES
+
+
+def test_overflowing_state_is_not_priced(defaults):
+    # the grid solve checks its integrand; the evaluator checks S and h_x
+    # for cells away from the state the grid was solved at
+    params, _, consts = defaults
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergentIntegralError):
+            stock_price(MarketState(1e200, 1.0), params, consts)
+        with pytest.raises(DivergentIntegralError):
+            volatility_grid([1.5, 1.6, 1e200], [1.0], params, consts)
 
 
 def test_sign_change_flag_with_linear_dividend():
