@@ -123,8 +123,8 @@ def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
     big_a = consts.age_norm
     z0 = 2.0 * np.sqrt(big_a / lam)
     sqrt_la = np.sqrt(lam * big_a)
-    j1_0, j2_0 = bessel.j1(z0), bessel.j2(z0)
-    y1_0, y2_0 = bessel.y1(z0), bessel.y2(z0)
+    j1_0, j2_0, w1_0, w2_0 = bessel.jy_scaled(z0)
+    y1_0, y2_0 = w1_0 / z0, w2_0 / (z0 * z0)
     alpha = sqrt_la * y1_0 - 2.0 * chat * y2_0
     beta = sqrt_la * j1_0 - 2.0 * chat * j2_0
     dalpha = -2.0 * a2 * y2_0
@@ -132,9 +132,9 @@ def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
 
     z = z0 * np.exp(-0.5 * lam * u)
     z2 = z * z
-    j1_z, j2_z = bessel.j1(z), bessel.j2(z)
-    w1_z = bessel.y1_scaled(z)   # z Y1(z)
-    w2_z = bessel.y2_scaled(z)   # z^2 Y2(z)
+    # J1, J2, z Y1 and z^2 Y2 from one series pass; z <= z0 <= sqrt(2)
+    # because lam * eps >= 1
+    j1_z, j2_z, w1_z, w2_z = bessel.jy_scaled(z)
 
     # e^{-lam u} = z^2 / z0^2 replaces the explicit exponential so that the
     # products with the singular Y factors never overflow.

@@ -99,17 +99,19 @@ def _x_part(x: float, sol: OdeSolution, params: ModelParams,
         F = e^{-spd_lin x - spd_quad x^2 + a x^2/2 + b x + c - rho tau} tilt
         F_x = e^{...} [(x da + db) + tilt (a x + b - spd_lin - 2 spd_quad x)]
 
-    with tilt = da x^2/2 + db x + dc.
+    with tilt = da x^2/2 + db x + dc.  An overflowing state leaves inf or
+    NaN in out without a numpy warning; callers check finiteness.
     """
-    tilt = (0.5 * x * x) * sol.da_vals + x * sol.db_vals + sol.dc_vals
-    efac = np.exp((0.5 * x * x) * sol.a_vals + x * sol.b_vals
-                  + (sol.c_vals - params.rho * sol.taus)
-                  - (consts.spd_lin * x + consts.spd_quad * x * x))
-    np.multiply(efac, tilt, out=out[0])
-    tilt *= x * sol.a_vals + (sol.b_vals - consts.spd_lin
-                              - 2.0 * consts.spd_quad * x)
-    tilt += x * sol.da_vals + sol.db_vals
-    np.multiply(efac, tilt, out=out[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilt = (0.5 * x * x) * sol.da_vals + x * sol.db_vals + sol.dc_vals
+        efac = np.exp((0.5 * x * x) * sol.a_vals + x * sol.b_vals
+                      + (sol.c_vals - params.rho * sol.taus)
+                      - (consts.spd_lin * x + consts.spd_quad * x * x))
+        np.multiply(efac, tilt, out=out[0])
+        tilt *= x * sol.a_vals + (sol.b_vals - consts.spd_lin
+                                  - 2.0 * consts.spd_quad * x)
+        tilt += x * sol.da_vals + sol.db_vals
+        np.multiply(efac, tilt, out=out[1])
 
 
 def _stock_and_slope(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynastyprice
 from dynastyprice import MarketState, derive_constants, short_rate
 from dynastyprice.calibration import build_defaults
 from dynastyprice.cli import build_parser, load_config, main, run_sweep
@@ -224,3 +228,22 @@ def test_overflowing_state_exits_numerical(capsys, argv):
     assert code == 3
     assert out.out == ""
     assert "numerical failure" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--set", "x=1e200"],
+    ["volsurf", "--x-from", "1e200", "--x-to", "1e200", "--x-steps", "1",
+     "--u-steps", "1"],
+], ids=" ".join)
+def test_overflowing_state_prints_one_stderr_line(argv):
+    # a fresh interpreter with numpy's default error handling: the failure
+    # is reported on one line, without RuntimeWarnings ahead of it
+    src = str(Path(dynastyprice.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            f"from dynastyprice.cli import main; sys.exit(main({argv!r}))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert run.stderr.startswith("numerical failure: ")
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")

@@ -271,3 +271,34 @@ def test_c_increments_track_integrand_sign(defaults):
     inc = np.diff(sol.c_vals)
     pos = (f[:-1] >= 0) & (f[1:] >= 0)
     assert np.all(inc[pos] >= -1e-15)
+
+
+def test_g_derivs_uses_two_fused_bessel_passes(defaults, monkeypatch):
+    from dynastyprice import bessel, odes
+    params, consts = defaults
+    args = []
+    fused = bessel.jy_scaled
+
+    def counted(z):
+        args.append(np.asarray(z))
+        return fused(z)
+
+    monkeypatch.setattr(bessel, "jy_scaled", counted)
+    abc_eval(OdeInputs(theta=0.1, params=params, consts=consts,
+                       tau_max=40.0, n_grid=4001))
+    assert len(args) == 2
+    odes._g_derivs(np.linspace(0.0, 5.0, 11), 0.0, params, consts)
+    assert len(args) == 4
+    assert max(float(np.max(z)) for z in args) <= math.sqrt(2.0)
+
+
+def test_bessel_argument_bounded_over_admissible_box():
+    # z0 = 2 sqrt(age_norm / lam) = 2 / sqrt(1 + eps lam) <= sqrt(2)
+    # whenever lam * eps >= 1 (lam a power of two: eps lam = 1 exactly)
+    for lam in 2.0 ** np.arange(-7, 8):
+        for eps in np.geomspace(1.0, 1e4, 9) / lam:
+            p = replace(build_defaults()[0], lam=float(lam),
+                        epsilon=float(eps))
+            consts = derive_constants(p)
+            z0 = 2.0 * math.sqrt(consts.age_norm / consts.lam)
+            assert 0.0 < z0 <= math.sqrt(2.0) * (1.0 + 1e-15)
