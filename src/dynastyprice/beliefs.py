@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DerivedConstants, InvalidParamsError, ModelParams
-from .ou import SimPath, philox_stream
+from .ou import SimPath, philox_stream, w_row
 
 
 class AgeExceedsPathError(RuntimeError):
@@ -105,7 +105,7 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
     alphas = rng.normal(params.alpha_mean, alpha_std, population_size)
 
     times = shared_path.times
-    ws = shared_path.ws[0]
+    ws = w_row(shared_path.xs[0], shared_path.lam, shared_path.dt)
     w_birth = np.interp(times[-1] - ages, times, ws)
     dw = ws[-1] - w_birth
 

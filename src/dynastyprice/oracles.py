@@ -6,8 +6,8 @@ estimators run serially over a fixed draw order (time-major for the
 forward simulations in mc_v, mc_stock and martingale_check, one spawned
 substream per path in the path factory), so a fixed seed reproduces
 results bitwise.  The path checks (xi_eta_check, aggregation_check)
-work one path row at a time, so beyond the path itself they hold only
-O(n_steps) temporaries.
+build W from one X row at a time (``ou.w_row``), so beyond the X array
+they hold only O(n_steps) temporaries.
 
 The stock oracle integrates the pathwise payoff over maturities out to a
 finite horizon and closes the integral with a geometric tail: once the
@@ -30,7 +30,8 @@ from . import model
 from .beliefs import aggregate_log_lambda
 from .model import DerivedConstants, InvalidParamsError, MarketState, ModelParams
 from .odes import OdeInputs, abc_eval
-from .ou import SimConfig, SimPath, philox_stream, simulate, step_consts
+from .ou import (SimConfig, SimPath, philox_stream, simulate, step_consts,
+                 w_row)
 
 LOG_PAYOFF_CAP = 700.0
 
@@ -190,12 +191,15 @@ def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
     wgt = _lag_weights(path.lam, dt, path.n_steps)
     n_paths = path.xs.shape[0]
     xi_dev, eta_dev = np.empty(n_paths), np.empty(n_paths)
+    ws = np.empty(path.n_steps + 1)
     for i in range(n_paths):
-        ws, x_t = path.ws[i], path.xs[i, -1]
+        x = path.xs[i]
+        w_row(x, path.lam, dt, out=ws)
+        x_t = x[-1]
         dw = ws[-1] - ws[::-1]
         xi_hat = np.trapezoid(dw * wgt, dx=dt)
         eta_hat = np.trapezoid(dw * dw * wgt, dx=dt)
-        hist = _history(path.xs[i], wgt, dt)
+        hist = _history(x, wgt, dt)
         xi_dev[i] = abs(xi_hat - x_t)
         eta_dev[i] = abs(eta_hat - (x_t * x_t + hist))
     return xi_dev, eta_dev
@@ -216,7 +220,7 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
     n_steps = int(round(cfg.burn_in / cfg.dt))
     sim = SimConfig(n_paths=1, n_steps=n_steps, dt=cfg.dt, seed=cfg.seed,
                     measure_mean=0.0)
-    path = simulate(sim, params, consts, u_init=0.0, t0=-cfg.burn_in)
+    path = simulate(sim, params, consts, t0=-cfg.burn_in)
 
     mean, se = aggregate_log_lambda(population_n, params, consts, path,
                                     seed=cfg.seed + 1, alpha_std=alpha_std)

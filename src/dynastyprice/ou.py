@@ -16,9 +16,12 @@ one step at a time: inside a block the linear recursion
 y_k = e^{-lam dt} y_{k-1} + s_k is a scaled cumulative sum, with blocks
 short enough that no scale factor exceeds e.  Rounding then differs from
 the step-by-step recursion; at 3 x 200,000 steps of dt = 5e-5 the two
-agree to 1e-12 absolute (tests/test_ou.py).  Apart from the returned
-arrays, memory is O(n_steps) for W and U and O(n_paths * block) for
-the recursion.
+agree to 1e-12 absolute (tests/test_ou.py).
+
+Only X is stored.  W and U are fixed functions of an X row (plus u_init
+and age_norm for U), so ``w_row`` and ``u_row`` build them one row at a
+time on demand; ``simulate`` holds the X array and O(n_paths * block)
+scratch for the recursion.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, InvalidParamsError, ModelParams
+from .model import (DerivedConstants, InvalidParamsError, ModelParams,
+                    _require_finite)
 
 
 @dataclass(frozen=True)
@@ -42,27 +46,31 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1 or self.n_steps < 0:
             raise InvalidParamsError("n_paths >= 1 and n_steps >= 0 required")
+        _require_finite(self, ("dt",))
         if not self.dt > 0.0:
             raise InvalidParamsError("dt must be positive")
 
 
 @dataclass(frozen=True)
 class SimPath:
-    """Simulated trajectories with the reversion rate they were drawn at.
+    """Simulated factor trajectories with the reversion rate they were
+    drawn at.
 
-    Arrays are (n_paths, n_steps+1) and frozen after construction.
+    ``xs`` is (n_paths, n_steps+1) and frozen after construction.  W and
+    U are not stored: ``ws`` and ``us`` build them afresh from ``xs``,
+    U from ``u_init`` and ``age_norm`` too, each call a new array of the
+    same shape.  Row-at-a-time callers use ``w_row``/``u_row`` instead.
     """
 
     t0: float
     dt: float
     lam: float
     xs: np.ndarray
-    ws: np.ndarray
-    us: np.ndarray
+    u_init: float
+    age_norm: float
 
     def __post_init__(self) -> None:
-        for arr in (self.xs, self.ws, self.us):
-            arr.setflags(write=False)
+        self.xs.setflags(write=False)
 
     @property
     def n_steps(self) -> int:
@@ -71,6 +79,20 @@ class SimPath:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.xs.shape[1])
+
+    @property
+    def ws(self) -> np.ndarray:
+        out = np.empty_like(self.xs)
+        for x, w in zip(self.xs, out):
+            w_row(x, self.lam, self.dt, out=w)
+        return out
+
+    @property
+    def us(self) -> np.ndarray:
+        out = np.empty_like(self.xs)
+        for x, u in zip(self.xs, out):
+            u_row(x, self.lam, self.dt, self.age_norm, self.u_init, out=u)
+        return out
 
 
 def step_consts(lam: float, dt: float) -> tuple[float, float]:
@@ -123,19 +145,44 @@ def _decay_recurrence(y: np.ndarray, lam_dt: float) -> None:
         blk *= shrink[:width]
 
 
+def w_row(x: np.ndarray, lam: float, dt: float,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """W along one X row: W_0 = 0, then the trapezoid of
+    W_t = X_t - X_0 + int lam X ds."""
+    w = np.empty_like(x) if out is None else out
+    w[0] = 0.0
+    np.cumsum(np.diff(x) + 0.5 * lam * dt * (x[:-1] + x[1:]), out=w[1:])
+    return w
+
+
+def u_row(x: np.ndarray, lam: float, dt: float, age_norm: float,
+          u_init: float, out: np.ndarray | None = None) -> np.ndarray:
+    """U along one X row: U_0 = u_init, then with d = e^{-lam dt}
+    U_k = d U_{k-1} + (age_norm lam dt / 4) (d X_{k-1}^2 + X_k^2)."""
+    u = np.empty_like(x) if out is None else out
+    u[0] = u_init
+    x2 = x * x
+    np.multiply(x2[:-1], math.exp(-lam * dt), out=u[1:])
+    u[1:] += x2[1:]
+    u[1:] *= 0.25 * age_norm * lam * dt
+    _decay_recurrence(u, lam * dt)
+    return u
+
+
 def simulate(config: SimConfig, params: ModelParams, consts: DerivedConstants,
              x_init: float | None = None, u_init: float = 0.0,
              t0: float = 0.0) -> SimPath:
-    """Simulate paths of (X, W, U) under the measure with the given mean.
+    """Simulate paths of X under the measure with the given mean.
 
     When ``x_init`` is None each path starts from its own stationary draw;
     otherwise all paths start at ``x_init``.  ``u_init`` seeds the U
-    recursion (its stationary law has no closed form, only its mean).
+    recursion (its stationary law has no closed form, only its mean);
+    the returned path derives W and U from X on demand.
     """
     lam = params.lam
     n, m = config.n_paths, config.n_steps
     dt, mean = config.dt, config.measure_mean
-    decay, sd = step_consts(lam, dt)
+    _, sd = step_consts(lam, dt)
 
     # one substream per path: layout is [x0 draw if needed, then steps]
     xs = np.empty((n, m + 1))
@@ -154,20 +201,5 @@ def simulate(config: SimConfig, params: ModelParams, consts: DerivedConstants,
     xs += mean
     xs[:, 0] = x0          # exactly, not (x0 - mean) + mean
 
-    # trapezoid reconstruction of W, and the U increments, row by row
-    ws = np.empty_like(xs)
-    us = np.empty_like(xs)
-    ws[:, 0] = 0.0
-    us[:, 0] = u_init
-    half_w = 0.25 * consts.age_norm * lam * dt
-    for i in range(n):
-        x = xs[i]
-        np.cumsum(np.diff(x) + 0.5 * lam * dt * (x[:-1] + x[1:]),
-                  out=ws[i, 1:])
-        x2 = x * x
-        np.multiply(x2[:-1], decay, out=us[i, 1:])
-        us[i, 1:] += x2[1:]
-        us[i, 1:] *= half_w
-    _decay_recurrence(us, lam * dt)
-
-    return SimPath(t0=t0, dt=dt, lam=lam, xs=xs, ws=ws, us=us)
+    return SimPath(t0=t0, dt=dt, lam=lam, xs=xs, u_init=u_init,
+                   age_norm=consts.age_norm)

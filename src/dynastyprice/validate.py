@@ -161,9 +161,10 @@ def suite_appendix(seed: int = 2024, fast: bool = False) -> list[CheckResult]:
     ladder = (4e-4, 2e-4, 1e-4, 5e-5)
     for dt in ladder:
         n_steps = int(round(10.0 / dt))
-        path = simulate(SimConfig(n_paths=n_paths, n_steps=n_steps, dt=dt,
-                                  seed=seed), params, consts, t0=-10.0)
-        xd, ed = xi_eta_check(path)
+        # the path is a temporary, released before the next dt's simulate
+        xd, ed = xi_eta_check(simulate(
+            SimConfig(n_paths=n_paths, n_steps=n_steps, dt=dt, seed=seed),
+            params, consts, t0=-10.0))
         envelope.append((dt, float(np.mean(xd)), float(np.mean(ed))))
     for dt, xd, ed in envelope:
         if dt == 1e-4:

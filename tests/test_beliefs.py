@@ -119,7 +119,7 @@ def test_aggregate_constant_path():
     from dynastyprice.ou import SimPath
     zeros = np.zeros((1, n + 1))
     flat = SimPath(t0=-20.0, dt=1e-3, lam=params.lam, xs=zeros.copy(),
-                   ws=zeros.copy(), us=zeros.copy())
+                   u_init=0.0, age_norm=consts.age_norm)
     mean, se = aggregate_log_lambda(50_000, params, consts, flat, seed=11,
                                     alpha_std=0.0)
     # log Lambda = (1/2) log(eps/(eps+u)) - eps alpha^2 u / (2 (eps+u))

@@ -129,8 +129,8 @@ def test_mc_stock_normalisation_invariance(defaults, monkeypatch):
 def test_xi_eta_constant_path(defaults):
     n = 1000
     zeros = np.zeros((1, n + 1))
-    path = SimPath(t0=-1.0, dt=1e-3, lam=2.0, xs=zeros.copy(),
-                   ws=zeros.copy(), us=zeros.copy())
+    path = SimPath(t0=-1.0, dt=1e-3, lam=2.0, xs=zeros.copy(), u_init=0.0,
+                   age_norm=1.0)
     xd, ed = xi_eta_check(path)
     assert xd[0] == 0.0
     assert ed[0] == 0.0
@@ -157,6 +157,20 @@ def test_xi_eta_memory_bounded(defaults):
     finally:
         tracemalloc.stop()
     assert peak < path.xs.nbytes
+
+
+def test_xi_eta_adds_only_row_scratch(defaults):
+    # W is rebuilt one row at a time: the check never materialises path.ws
+    params, _, consts = defaults
+    cfg = SimConfig(n_paths=100, n_steps=20_000, dt=5e-4, seed=8)
+    path = simulate(cfg, params, consts, t0=-10.0)
+    tracemalloc.start()
+    try:
+        xi_eta_check(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * path.xs.nbytes
 
 
 def test_aggregation_within_three_se(defaults):

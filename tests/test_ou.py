@@ -6,6 +6,7 @@ import pytest
 from dynastyprice import (SimConfig, derive_constants, exact_step,
                           expected_u, sample_stationary, simulate)
 from dynastyprice.calibration import build_defaults
+from dynastyprice.model import InvalidParamsError
 from dynastyprice.ou import philox_stream, step_consts
 
 
@@ -175,3 +176,22 @@ def test_simulate_memory_bounded(defaults):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * path.xs.nbytes
+
+
+def test_simulate_holds_one_path_array(defaults):
+    # only X is stored; W and U are rebuilt from it on demand
+    params, consts = defaults
+    cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
+    tracemalloc.start()
+    try:
+        path = simulate(cfg, params, consts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.xs.nbytes
+
+
+@pytest.mark.parametrize("dt", [float("inf"), float("nan")])
+def test_sim_config_rejects_non_finite_dt(dt):
+    with pytest.raises(InvalidParamsError):
+        SimConfig(n_paths=2, n_steps=3, dt=dt, seed=1)

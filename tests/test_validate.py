@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from dynastyprice import DerivedConstants, OdeInputs, abc_numeric
 from dynastyprice.calibration import build_defaults
 from dynastyprice.odes import StepSizeUnderflowError
-from dynastyprice.validate import SUITES, run_suite
+from dynastyprice.validate import SUITES, run_suite, suite_appendix
 
 
 def test_fast_suites_all_pass():
@@ -11,6 +13,20 @@ def test_fast_suites_all_pass():
     failing = [r for r in rows if not r.passed]
     assert not failing, failing
     assert {r.suite for r in rows} == set(SUITES) - {"all"}
+
+
+def test_appendix_suite_holds_one_path_at_a_time():
+    # each dt's path is released before the next one is simulated; the
+    # largest path is the last: 30 paths x 200,001 steps of dt = 5e-5
+    largest = 30 * 200_001 * 8
+    tracemalloc.start()
+    try:
+        rows = suite_appendix(fast=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows), rows
+    assert peak < 1.5 * largest
 
 
 def test_unknown_suite_rejected():
