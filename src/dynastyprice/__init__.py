@@ -7,8 +7,8 @@ from .beliefs import BeliefInput, lambda_density, posterior, sample_age
 from .calibration import (CalibrationTarget, build_defaults, expected_rate,
                           solve_gamma)
 from .model import (DerivedConstants, InvalidParamsError, MarketState,
-                    ModelParams, derive_constants, dividend, limit_constants,
-                    log_zeta, short_rate)
+                    ModelParams, derive_constants, dividend, expected_u,
+                    limit_constants, log_zeta, short_rate)
 from .odes import (DegenerateGError, OdeInputs, OdeSolution,
                    QuadratureToleranceError, abc_eval, abc_numeric, g_closed)
 from .oracles import (McEstimate, OracleConfig, OverflowGuardError,
@@ -16,8 +16,8 @@ from .oracles import (McEstimate, OracleConfig, OverflowGuardError,
                       xi_eta_check)
 from .ou import SimConfig, SimPath, exact_step, sample_stationary, simulate
 from .pricing import (DivergentIntegralError, PriceReport, QuadratureConfig,
-                      bond_price, drift_star, expected_u, pde_residual,
-                      stock_price, volatility, volatility_grid)
+                      bond_price, drift_star, pde_residual, stock_price,
+                      volatility, volatility_grid)
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (InvalidParamsError, MarketState, ModelParams,
-                    _require_finite, derive_constants)
+                    _require_finite, derive_constants, expected_u)
 
 
 class NoPositiveRootError(ArithmeticError):
@@ -91,5 +91,4 @@ def build_defaults(exact: bool = False) -> tuple[ModelParams, MarketState]:
     params = ModelParams(a0=0.0, a1=0.0, a2=1.0, lam=2.0, rho=0.04,
                          epsilon=1.0, gamma_agg=gamma, alpha_mean=a)
     consts = derive_constants(params)
-    u = 0.5 * consts.age_norm * (a * a + 1.0 / (2.0 * params.lam))
-    return params, MarketState(x=a, u=u)
+    return params, MarketState(x=a, u=expected_u(a, params, consts))

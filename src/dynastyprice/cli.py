@@ -17,11 +17,11 @@ import numpy as np
 from .calibration import (CalibrationTarget, NoPositiveRootError,
                           build_defaults, expected_rate, solve_gamma)
 from .model import (InvalidParamsError, MarketState, ModelParams,
-                    derive_constants, short_rate)
+                    derive_constants, expected_u, short_rate)
 from .odes import DegenerateGError, QuadratureToleranceError, StepSizeUnderflowError
 from .oracles import OverflowGuardError
 from .pricing import (DivergentIntegralError, QuadratureConfig, bond_price,
-                      expected_u, stock_price, volatility_grid)
+                      stock_price, volatility_grid)
 from .validate import SUITES, run_suite
 
 NUMERICAL_ERRORS = (DegenerateGError, DivergentIntegralError,

@@ -133,6 +133,11 @@ def _constants_from_abc(a: float, b: float, c: float,
                             r0=r0, r1=r1, r2=r2, lam=lam)
 
 
+def expected_u(a: float, params: ModelParams, consts: DerivedConstants) -> float:
+    """Stationary mean of U under reversion level a: (A/2)(a^2 + 1/(2 lam))."""
+    return 0.5 * consts.age_norm * (a * a + 1.0 / (2.0 * params.lam))
+
+
 def dividend(x, params: ModelParams):
     """Dividend rate a0 + a1*x + a2*x^2."""
     return params.a0 + params.a1 * x + params.a2 * x * x

@@ -5,9 +5,12 @@ estimate; acceptance comparisons are made in standard-error units.  All
 estimators run serially over a fixed draw order (time-major for the
 forward simulations in mc_v, mc_stock and martingale_check, one spawned
 substream per path in the path factory), so a fixed seed reproduces
-results bitwise.  The path checks (xi_eta_check, aggregation_check)
-build W from one X row at a time (``ou.w_row``), so beyond the X array
-they hold only O(n_steps) temporaries.
+results bitwise.  The forward simulations step (X, U) only through
+``ou.advance``, with U_t = (A/2) int lam e^{lam (s-t)} X_s^2 ds carried
+by a decaying recursion, so no weight e^{lam t} overflows at large
+lam T.  The path checks (xi_eta_check, aggregation_check) build W from
+one X row at a time (``ou.w_row``), so beyond the X array they hold
+only O(n_steps) temporaries.
 
 The stock oracle integrates the pathwise payoff over maturities out to a
 finite horizon and closes the integral with a geometric tail: once the
@@ -30,10 +33,11 @@ from . import model
 from .beliefs import aggregate_log_lambda
 from .model import DerivedConstants, InvalidParamsError, MarketState, ModelParams
 from .odes import OdeInputs, abc_eval
-from .ou import (SimConfig, SimPath, philox_stream, simulate, step_consts,
-                 w_row)
+from .ou import SimConfig, SimPath, advance, philox_stream, simulate, w_row
 
 LOG_PAYOFF_CAP = 700.0
+T_SUB = 10              # mc_stock: OU steps per maturity-grid interval
+TAIL_WINDOW = 5.0       # mc_stock: time units averaged for the tail
 
 
 class OverflowGuardError(ArithmeticError):
@@ -78,24 +82,14 @@ def mc_v(state: MarketState, t_horizon: float, theta: float,
 
     Simulates X forward from state.x under the reference measure and
     averages exp(theta*delta(X_T) + spd_lin*X_T + spd_quad*X_T^2 + I),
-    I being the trapezoid of (A/2) lam e^{lam (s-T)} X_s^2.  The state's
-    u plays no role: the transform depends on the factor level alone.
+    I = U_T being the trapezoid of (A/2) lam e^{lam (s-T)} X_s^2 carried
+    by ``ou.advance`` from U_0 = 0.  The state's u plays no role: the
+    transform depends on the factor level alone.
     """
-    lam = consts.lam
     n_steps = int(round(t_horizon / cfg.dt))
-    dt = cfg.dt
-    rng = philox_stream(cfg.seed)
-    decay, sd = step_consts(lam, dt)
-
     xs = np.full(cfg.n_paths, float(state.x))
-    acc = np.zeros(cfg.n_paths)          # trapezoid of e^{lam s} X_s^2
-    w_prev = 0.5 * dt * xs * xs
-    for k in range(1, n_steps + 1):
-        xs = xs * decay + sd * rng.standard_normal(cfg.n_paths)
-        w_new = 0.5 * dt * math.exp(lam * k * dt) * xs * xs
-        acc += w_prev + w_new
-        w_prev = w_new
-    integral = 0.5 * consts.age_norm * lam * math.exp(-lam * t_horizon) * acc
+    xs, integral = advance(xs, 0.0, philox_stream(cfg.seed), n_steps,
+                           consts.lam, cfg.dt, consts.age_norm)
 
     log_pay = (theta * model.dividend(xs, params)
                + consts.spd_lin * xs + consts.spd_quad * xs * xs + integral)
@@ -108,25 +102,21 @@ def mc_v(state: MarketState, t_horizon: float, theta: float,
 
 
 def mc_stock(state: MarketState, params: ModelParams,
-             consts: DerivedConstants, cfg: OracleConfig,
-             t_sub: int = 10, tail_window: float = 5.0) -> McEstimate:
+             consts: DerivedConstants, cfg: OracleConfig) -> McEstimate:
     """Monte Carlo stock price from the pathwise pricing kernel.
 
     Per path, integrates zeta_T delta_T / zeta_t over a maturity grid of
-    spacing t_sub * dt by trapezoid, then adds the geometric tail
+    spacing T_SUB * dt by trapezoid, then adds the geometric tail
     estimated from the e^{rho (T - horizon)}-rescaled integrand averaged
-    over the final ``tail_window`` time units.
+    over the final TAIL_WINDOW time units.
     """
-    lam, rho = consts.lam, params.rho
-    dt = cfg.dt
-    n_steps = (int(round(cfg.horizon / dt)) // t_sub) * t_sub
+    rho, dt = params.rho, cfg.dt
+    n_steps = (int(round(cfg.horizon / dt)) // T_SUB) * T_SUB
     horizon = n_steps * dt
-    if horizon <= tail_window:
-        raise InvalidParamsError("horizon must exceed tail_window")
-    big_dt = t_sub * dt
+    if horizon <= TAIL_WINDOW:
+        raise InvalidParamsError(f"horizon must exceed {TAIL_WINDOW}")
+    big_dt = T_SUB * dt
     rng = philox_stream(cfg.seed)
-    decay, sd = step_consts(lam, dt)
-    half_w = 0.25 * consts.age_norm * lam * dt
 
     xs = np.full(cfg.n_paths, float(state.x))
     us = np.full(cfg.n_paths, float(state.u))
@@ -135,25 +125,20 @@ def mc_stock(state: MarketState, params: ModelParams,
     q_prev = np.full(cfg.n_paths, float(model.dividend(state.x, params)))
     tail_acc = np.zeros(cfg.n_paths)
     tail_count = 0
-    win_lo = horizon - tail_window
+    win_lo = horizon - TAIL_WINDOW
 
-    x2_prev = xs * xs
-    for k in range(1, n_steps + 1):
-        xs = xs * decay + sd * rng.standard_normal(cfg.n_paths)
-        x2 = xs * xs
-        us = us * decay + half_w * (decay * x2_prev + x2)
-        x2_prev = x2
-        if k % t_sub == 0:
-            t_now = k * dt
-            log_q = model.log_zeta_xu(xs, us, t_now, params, consts) - log_z0
-            if float(np.max(log_q)) > LOG_PAYOFF_CAP:
-                raise OverflowGuardError("log payoff exceeded 700")
-            q = model.dividend(xs, params) * np.exp(log_q)
-            integral += 0.5 * big_dt * (q_prev + q)
-            q_prev = q
-            if t_now >= win_lo - 1e-12:
-                tail_acc += q * math.exp(rho * (t_now - horizon))
-                tail_count += 1
+    for k in range(T_SUB, n_steps + 1, T_SUB):
+        xs, us = advance(xs, us, rng, T_SUB, consts.lam, dt, consts.age_norm)
+        t_now = k * dt
+        log_q = model.log_zeta_xu(xs, us, t_now, params, consts) - log_z0
+        if float(np.max(log_q)) > LOG_PAYOFF_CAP:
+            raise OverflowGuardError("log payoff exceeded 700")
+        q = model.dividend(xs, params) * np.exp(log_q)
+        integral += 0.5 * big_dt * (q_prev + q)
+        q_prev = q
+        if t_now >= win_lo - 1e-12:
+            tail_acc += q * math.exp(rho * (t_now - horizon))
+            tail_count += 1
 
     tails = tail_acc / (tail_count * rho)
     values = integral + tails
@@ -248,63 +233,51 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
                      n_outer: int = 100, n_inner: int = 1000) -> float:
     """Worst conditional-drift statistic of the transform martingale.
 
-    M_t = V(t, X_t) exp(int_0^t (A/2) lam e^{lam (s - T)} X_s^2 ds) must
-    have zero conditional drift.  For the three increments between
-    checkpoints k T/3, outer paths set the conditioning state and inner
-    paths estimate the conditional mean of the next checkpoint value;
-    the pooled discrepancy is reported in standard-error units (worst
-    increment).  Returns exactly 0 for T = 0.
+    M_t = V(t, X_t) exp(int_0^t (A/2) lam e^{lam (s - T)} X_s^2 ds)
+        = V(t, X_t) exp(e^{-lam (T - t)} U_t), U_0 = 0,
+    must have zero conditional drift.  For the three increments between
+    checkpoints k T/3, outer paths set the conditioning state (X, U) and
+    inner paths continue from it to estimate the conditional mean of the
+    next checkpoint value; the pooled discrepancy is reported in
+    standard-error units (worst increment).  Returns exactly 0 for T = 0.
     """
     if t_final == 0.0:
         return 0.0
-    lam = consts.lam
-    dt = cfg.dt
+    lam, dt, big_a = consts.lam, cfg.dt, consts.age_norm
     rng = philox_stream(cfg.seed)
-    decay, sd = step_consts(lam, dt)
-    amp = 0.5 * consts.age_norm * lam * math.exp(-lam * t_final)
-
+    # a, b, c at tau = T - k T/3 sit in column 3 - k
     sol = abc_eval(OdeInputs(theta=theta, params=params, consts=consts,
-                             tau_max=t_final,
-                             n_grid=max(int(round(t_final / dt)), 4) + 1))
+                             tau_max=t_final, n_grid=4))
 
-    def v_closed(t_now: float, x: np.ndarray) -> np.ndarray:
-        tau = t_final - t_now
-        a = np.interp(tau, sol.taus, sol.a_vals)
-        b = np.interp(tau, sol.taus, sol.b_vals)
-        c = np.interp(tau, sol.taus, sol.c_vals)
-        return np.exp(0.5 * a * x * x + b * x + c)
+    def m_value(k: int, n_done: int, x: np.ndarray, u) -> np.ndarray:
+        """M at checkpoint k for paths simulated n_done steps to (x, u):
+        V at tau = T - k T/3, U weighted at the simulated time n_done dt."""
+        a, b, c = sol.a_vals[3 - k], sol.b_vals[3 - k], sol.c_vals[3 - k]
+        weight = math.exp(-lam * (t_final - n_done * dt))
+        return np.exp(0.5 * a * x * x + b * x + c + weight * u)
 
     worst = 0.0
     for k in range(3):
-        t1, t2 = k * t_final / 3.0, (k + 1) * t_final / 3.0
-        n1 = int(round(t1 / dt))
-        n2 = int(round(t2 / dt)) - n1
+        n1 = int(round(k * t_final / 3.0 / dt))
+        n2 = int(round((k + 1) * t_final / 3.0 / dt)) - n1
 
         x_outer = rng.standard_normal(n_outer) / math.sqrt(2.0 * lam)
-        j_outer = np.zeros(n_outer)
-        w_prev = 0.5 * dt * x_outer ** 2
-        for i in range(1, n1 + 1):
-            x_outer = x_outer * decay + sd * rng.standard_normal(n_outer)
-            w_new = 0.5 * dt * math.exp(lam * i * dt) * x_outer ** 2
-            j_outer += w_prev + w_new
-            w_prev = w_new
-        m1 = v_closed(t1, x_outer) * np.exp(amp * j_outer)
+        x_outer, u_outer = advance(x_outer, 0.0, rng, n1, lam, dt, big_a)
+        m1 = m_value(k, n1, x_outer, u_outer)
 
         diffs = np.empty(n_outer)
         errs = np.empty(n_outer)
         for j in range(n_outer):
-            x_in = np.full(n_inner, x_outer[j])
-            j_in = np.zeros(n_inner)
-            w_prev_in = 0.5 * dt * math.exp(lam * n1 * dt) * x_in ** 2
-            for i in range(n1 + 1, n1 + n2 + 1):
-                x_in = x_in * decay + sd * rng.standard_normal(n_inner)
-                w_new = 0.5 * dt * math.exp(lam * i * dt) * x_in ** 2
-                j_in += w_prev_in + w_new
-                w_prev_in = w_new
-            m2 = v_closed(t2, x_in) * np.exp(amp * (j_outer[j] + j_in))
+            x_in, u_in = advance(np.full(n_inner, x_outer[j]), u_outer[j],
+                                 rng, n2, lam, dt, big_a)
+            m2 = m_value(k + 1, n1 + n2, x_in, u_in)
             diffs[j] = np.mean(m2) - m1[j]
             errs[j] = np.std(m2, ddof=1) / math.sqrt(n_inner)
         pooled = float(np.mean(diffs))
         pooled_se = float(np.sqrt(np.sum(errs ** 2)) / n_outer)
-        worst = max(worst, abs(pooled / pooled_se))
+        # at large lam T, V and the U weight leave M deterministic over
+        # the early increments: zero SE, which passes only if exactly flat
+        z = abs(pooled) / pooled_se if pooled_se > 0.0 else (
+            0.0 if pooled == 0.0 else math.inf)
+        worst = max(worst, z)
     return worst

@@ -21,7 +21,8 @@ agree to 1e-12 absolute (tests/test_ou.py).
 Only X is stored.  W and U are fixed functions of an X row (plus u_init
 and age_norm for U), so ``w_row`` and ``u_row`` build them one row at a
 time on demand; ``simulate`` holds the X array and O(n_paths * block)
-scratch for the recursion.
+scratch for the recursion.  ``advance`` steps (X, U) forward without
+storing a path, for the Monte Carlo oracles.
 """
 
 from __future__ import annotations
@@ -107,6 +108,32 @@ def exact_step(x, dt: float, z, mean: float, lam: float):
     """One exact OU transition: mean + (x-mean)e^{-lam dt} + sd(dt) * z."""
     decay, sd = step_consts(lam, dt)
     return mean + (x - mean) * decay + sd * z
+
+
+def advance(x: np.ndarray, u, rng: np.random.Generator, n_steps: int,
+            lam: float, dt: float,
+            age_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Take ``n_steps`` exact mean-zero OU steps of ``x`` in place, one
+    draw of len(x) normals per step, and return (x, U).
+
+    U follows ``u_row``'s recursion from ``u`` (scalar or like ``x``),
+    summed as U_n = u d^n + (age_norm lam dt / 4) v_n with d = e^{-lam dt}
+    and v_k = d (v_{k-1} + X_{k-1}^2) + X_k^2: no factor exceeds 1.
+    """
+    decay, sd = step_consts(lam, dt)
+    z = np.empty_like(x)
+    v = np.zeros_like(x)
+    x2 = x * x
+    for _ in range(n_steps):
+        x *= decay
+        rng.standard_normal(out=z)
+        z *= sd
+        x += z
+        v += x2
+        v *= decay
+        np.multiply(x, x, out=x2)
+        v += x2
+    return x, u * decay ** n_steps + 0.25 * age_norm * lam * dt * v
 
 
 def sample_stationary(mean: float, lam: float, z):

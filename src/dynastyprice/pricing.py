@@ -71,11 +71,6 @@ class PriceReport:
     factor_sign_change: bool = False
 
 
-def expected_u(a: float, params: ModelParams, consts: DerivedConstants) -> float:
-    """Stationary mean of U under reversion level a: (A/2)(a^2 + 1/(2 lam))."""
-    return 0.5 * consts.age_norm * (a * a + 1.0 / (2.0 * params.lam))
-
-
 def _simpson_weights(n: int, h: float) -> np.ndarray:
     w = np.zeros(n)
     w[0:-2:2] += h / 3.0

@@ -7,11 +7,12 @@ import pytest
 
 from dynastyprice import (MarketState, OdeInputs, OracleConfig,
                           OverflowGuardError, abc_eval, aggregation_check,
-                          derive_constants, dividend, martingale_check,
-                          mc_stock, mc_v, simulate, xi_eta_check)
+                          derive_constants, dividend, log_zeta,
+                          martingale_check, mc_stock, mc_v, simulate,
+                          xi_eta_check)
 from dynastyprice.calibration import build_defaults
-from dynastyprice.model import InvalidParamsError
-from dynastyprice.ou import SimConfig, SimPath
+from dynastyprice.model import InvalidParamsError, log_zeta_xu
+from dynastyprice.ou import SimConfig, SimPath, philox_stream, step_consts
 from dynastyprice.pricing import stock_price
 
 
@@ -215,3 +216,162 @@ def test_martingale_drift_small_with_tilt(defaults):
     worst = martingale_check(0.5, 0.1, params, consts, cfg,
                              n_outer=40, n_inner=400)
     assert worst < 3.5
+
+
+# ------------------------------------------- large lam T: no e^{lam t} weight
+
+def test_mc_v_past_exp_overflow(defaults):
+    # lam T = 720: a weight e^{lam t} rescaled by e^{-lam T} overflows
+    params, state, _ = defaults
+    params = replace(params, lam=100.0, epsilon=1.0)
+    consts = derive_constants(params)
+    cfg = OracleConfig(n_paths=1_000, dt=1e-3, burn_in=5.0, horizon=1.0,
+                       seed=2024)
+    est = mc_v(state, 7.2, 0.0, params, consts, cfg)
+    want = closed_v(7.2, 0.0, params, consts, state.x)
+    assert abs(est.mean - want) < 3.0 * est.se
+
+
+def test_martingale_past_exp_overflow(defaults):
+    # lam T = 720; M is deterministic over the first increments here
+    params, _, _ = defaults
+    params = replace(params, lam=20.0)
+    consts = derive_constants(params)
+    cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=5.0, horizon=1.0, seed=31)
+    worst = martingale_check(36.0, 0.0, params, consts, cfg,
+                             n_outer=4, n_inner=50)
+    assert isinstance(worst, float) and math.isfinite(worst)
+
+
+# --------------------------- the shared stepper against per-oracle step loops
+
+def _loop_mc_v(state, t_horizon, theta, params, consts, cfg):
+    """mc_v with its own e^{lam t}-weighted trapezoid of X^2."""
+    lam, dt = consts.lam, cfg.dt
+    n_steps = int(round(t_horizon / dt))
+    rng = philox_stream(cfg.seed)
+    decay, sd = step_consts(lam, dt)
+    xs = np.full(cfg.n_paths, float(state.x))
+    acc = np.zeros(cfg.n_paths)
+    w_prev = 0.5 * dt * xs * xs
+    for k in range(1, n_steps + 1):
+        xs = xs * decay + sd * rng.standard_normal(cfg.n_paths)
+        w_new = 0.5 * dt * math.exp(lam * k * dt) * xs * xs
+        acc += w_prev + w_new
+        w_prev = w_new
+    integral = 0.5 * consts.age_norm * lam * math.exp(-lam * t_horizon) * acc
+    pay = np.exp(theta * dividend(xs, params) + consts.spd_lin * xs
+                 + consts.spd_quad * xs * xs + integral)
+    return float(np.mean(pay)), float(np.std(pay, ddof=1)
+                                      / math.sqrt(cfg.n_paths))
+
+
+def _loop_mc_stock(state, params, consts, cfg, t_sub=10, tail_window=5.0):
+    """mc_stock with X and U stepped one at a time in its own loop."""
+    lam, rho, dt = consts.lam, params.rho, cfg.dt
+    n_steps = (int(round(cfg.horizon / dt)) // t_sub) * t_sub
+    horizon = n_steps * dt
+    rng = philox_stream(cfg.seed)
+    decay, sd = step_consts(lam, dt)
+    half_w = 0.25 * consts.age_norm * lam * dt
+    xs = np.full(cfg.n_paths, float(state.x))
+    us = np.full(cfg.n_paths, float(state.u))
+    log_z0 = log_zeta(state, 0.0, params, consts)
+    integral = np.zeros(cfg.n_paths)
+    q_prev = np.full(cfg.n_paths, float(dividend(state.x, params)))
+    tail_acc = np.zeros(cfg.n_paths)
+    tail_count = 0
+    x2_prev = xs * xs
+    for k in range(1, n_steps + 1):
+        xs = xs * decay + sd * rng.standard_normal(cfg.n_paths)
+        x2 = xs * xs
+        us = us * decay + half_w * (decay * x2_prev + x2)
+        x2_prev = x2
+        if k % t_sub == 0:
+            t_now = k * dt
+            log_q = log_zeta_xu(xs, us, t_now, params, consts) - log_z0
+            q = dividend(xs, params) * np.exp(log_q)
+            integral += 0.5 * t_sub * dt * (q_prev + q)
+            q_prev = q
+            if t_now >= horizon - tail_window - 1e-12:
+                tail_acc += q * math.exp(rho * (t_now - horizon))
+                tail_count += 1
+    values = integral + tail_acc / (tail_count * rho)
+    return float(np.mean(values)), float(np.std(values, ddof=1)
+                                         / math.sqrt(cfg.n_paths))
+
+
+def _loop_martingale(t_final, theta, params, consts, cfg, n_outer, n_inner):
+    """martingale_check with e^{lam t}-weighted trapezoids and V
+    interpolated on a (T/dt + 1)-node grid."""
+    lam, dt = consts.lam, cfg.dt
+    rng = philox_stream(cfg.seed)
+    decay, sd = step_consts(lam, dt)
+    amp = 0.5 * consts.age_norm * lam * math.exp(-lam * t_final)
+    sol = abc_eval(OdeInputs(theta=theta, params=params, consts=consts,
+                             tau_max=t_final,
+                             n_grid=max(int(round(t_final / dt)), 4) + 1))
+
+    def v_closed(t_now, x):
+        tau = t_final - t_now
+        a = np.interp(tau, sol.taus, sol.a_vals)
+        b = np.interp(tau, sol.taus, sol.b_vals)
+        c = np.interp(tau, sol.taus, sol.c_vals)
+        return np.exp(0.5 * a * x * x + b * x + c)
+
+    worst = 0.0
+    for k in range(3):
+        t1, t2 = k * t_final / 3.0, (k + 1) * t_final / 3.0
+        n1 = int(round(t1 / dt))
+        n2 = int(round(t2 / dt)) - n1
+        x_outer = rng.standard_normal(n_outer) / math.sqrt(2.0 * lam)
+        j_outer = np.zeros(n_outer)
+        w_prev = 0.5 * dt * x_outer ** 2
+        for i in range(1, n1 + 1):
+            x_outer = x_outer * decay + sd * rng.standard_normal(n_outer)
+            w_new = 0.5 * dt * math.exp(lam * i * dt) * x_outer ** 2
+            j_outer += w_prev + w_new
+            w_prev = w_new
+        m1 = v_closed(t1, x_outer) * np.exp(amp * j_outer)
+        diffs, errs = np.empty(n_outer), np.empty(n_outer)
+        for j in range(n_outer):
+            x_in = np.full(n_inner, x_outer[j])
+            j_in = np.zeros(n_inner)
+            w_prev_in = 0.5 * dt * math.exp(lam * n1 * dt) * x_in ** 2
+            for i in range(n1 + 1, n1 + n2 + 1):
+                x_in = x_in * decay + sd * rng.standard_normal(n_inner)
+                w_new = 0.5 * dt * math.exp(lam * i * dt) * x_in ** 2
+                j_in += w_prev_in + w_new
+                w_prev_in = w_new
+            m2 = v_closed(t2, x_in) * np.exp(amp * (j_outer[j] + j_in))
+            diffs[j] = np.mean(m2) - m1[j]
+            errs[j] = np.std(m2, ddof=1) / math.sqrt(n_inner)
+        pooled_se = float(np.sqrt(np.sum(errs ** 2)) / n_outer)
+        worst = max(worst, abs(float(np.mean(diffs)) / pooled_se))
+    return worst
+
+
+@pytest.mark.parametrize("oracle", ["mc_v", "mc_stock", "martingale"])
+def test_shared_stepper_matches_step_loops(defaults, oracle):
+    params, state, consts = defaults
+    if oracle == "mc_v":
+        cfg = OracleConfig(n_paths=2_000, dt=1e-3, burn_in=5.0, horizon=1.0,
+                           seed=17)
+        est = mc_v(state, 0.5, 0.1, params, consts, cfg)
+        want = _loop_mc_v(state, 0.5, 0.1, params, consts, cfg)
+        got, rel = (est.mean, est.se), 1e-12
+    elif oracle == "mc_stock":
+        cfg = OracleConfig(n_paths=500, dt=1e-3, burn_in=5.0, horizon=8.0,
+                           seed=18)
+        est = mc_stock(state, params, consts, cfg)
+        want = _loop_mc_stock(state, params, consts, cfg)
+        got, rel = (est.mean, est.se), 1e-12
+    else:
+        # T = 0.3: the checkpoints T/3, 2T/3 are nodes of the dt grid
+        cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=5.0, horizon=1.0,
+                           seed=19)
+        got = (martingale_check(0.3, 0.0, params, consts, cfg,
+                                n_outer=20, n_inner=200),)
+        want = (_loop_martingale(0.3, 0.0, params, consts, cfg, 20, 200),)
+        rel = 1e-9
+    assert got == pytest.approx(want, rel=rel, abs=0.0)
