@@ -14,7 +14,7 @@ from .odes import (DegenerateGError, OdeInputs, OdeSolution,
 from .oracles import (McEstimate, OracleConfig, OverflowGuardError,
                       aggregation_check, martingale_check, mc_stock, mc_v,
                       xi_eta_check)
-from .ou import SimConfig, SimPath, exact_step, sample_stationary, simulate
+from .ou import SimConfig, SimPath, sample_stationary, simulate
 from .pricing import (DivergentIntegralError, PriceReport, QuadratureConfig,
                       bond_price, drift_star, pde_residual, stock_price,
                       volatility, volatility_grid)
@@ -28,7 +28,7 @@ __all__ = [
     "OracleConfig", "OverflowGuardError", "PriceReport", "QuadratureConfig",
     "SimConfig", "SimPath", "abc_eval", "abc_numeric", "aggregation_check",
     "bond_price", "build_defaults", "derive_constants", "dividend",
-    "drift_star", "exact_step", "expected_rate", "expected_u", "g_closed",
+    "drift_star", "expected_rate", "expected_u", "g_closed",
     "lambda_density", "limit_constants", "log_zeta", "martingale_check",
     "mc_stock", "mc_v", "pde_residual", "posterior", "sample_age",
     "sample_stationary", "short_rate", "simulate", "solve_gamma",

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .beliefs import AgeExceedsPathError
 from .calibration import (CalibrationTarget, NoPositiveRootError,
                           build_defaults, expected_rate, solve_gamma)
 from .model import (InvalidParamsError, MarketState, ModelParams,
@@ -26,7 +27,7 @@ from .validate import SUITES, run_suite
 
 NUMERICAL_ERRORS = (DegenerateGError, DivergentIntegralError,
                     QuadratureToleranceError, OverflowGuardError,
-                    StepSizeUnderflowError)
+                    StepSizeUnderflowError, AgeExceedsPathError)
 
 PARAM_KEYS = ("a0", "a1", "a2", "lambda", "rho", "epsilon", "gamma_agg",
               "alpha_mean")

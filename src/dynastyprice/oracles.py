@@ -8,9 +8,9 @@ substream per path in the path factory), so a fixed seed reproduces
 results bitwise.  The forward simulations step (X, U) only through
 ``ou.advance``, with U_t = (A/2) int lam e^{lam (s-t)} X_s^2 ds carried
 by a decaying recursion, so no weight e^{lam t} overflows at large
-lam T.  The path checks (xi_eta_check, aggregation_check) build W from
-one X row at a time (``ou.w_row``), so beyond the X array they hold
-only O(n_steps) temporaries.
+lam T.  The path checks (xi_eta_check, aggregation_check) read stationary
+mean-zero X paths and build W from one X row at a time (``ou.w_row``),
+so beyond the X array they hold only O(n_steps) temporaries.
 
 The stock oracle integrates the pathwise payoff over maturities out to a
 finite horizon and closes the integral with a geometric tail: once the
@@ -33,7 +33,8 @@ from . import model
 from .beliefs import aggregate_log_lambda
 from .model import DerivedConstants, InvalidParamsError, MarketState, ModelParams
 from .odes import OdeInputs, abc_eval
-from .ou import SimConfig, SimPath, advance, philox_stream, simulate, w_row
+from .ou import (SimConfig, SimPath, advance, philox_stream,
+                 sample_stationary, simulate, w_row)
 
 LOG_PAYOFF_CAP = 700.0
 T_SUB = 10              # mc_stock: OU steps per maturity-grid interval
@@ -203,8 +204,7 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
     """
     _check_burn_in(cfg, params.lam)
     n_steps = int(round(cfg.burn_in / cfg.dt))
-    sim = SimConfig(n_paths=1, n_steps=n_steps, dt=cfg.dt, seed=cfg.seed,
-                    measure_mean=0.0)
+    sim = SimConfig(n_paths=1, n_steps=n_steps, dt=cfg.dt, seed=cfg.seed)
     path = simulate(sim, params, consts, t0=-cfg.burn_in)
 
     mean, se = aggregate_log_lambda(population_n, params, consts, path,
@@ -261,7 +261,7 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
         n1 = int(round(k * t_final / 3.0 / dt))
         n2 = int(round((k + 1) * t_final / 3.0 / dt)) - n1
 
-        x_outer = rng.standard_normal(n_outer) / math.sqrt(2.0 * lam)
+        x_outer = sample_stationary(lam, rng.standard_normal(n_outer))
         x_outer, u_outer = advance(x_outer, 0.0, rng, n1, lam, dt, big_a)
         m1 = m_value(k, n1, x_outer, u_outer)
 

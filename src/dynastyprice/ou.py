@@ -1,4 +1,5 @@
-"""Exact simulation of the stationary OU factor with W and U bookkeeping.
+"""Exact simulation of the stationary mean-zero OU factor, with W and U
+bookkeeping.
 
 X steps use the exact Gaussian transition, so the marginal law of the
 simulated factor is error-free at any step size; only the two running
@@ -8,21 +9,20 @@ integrals are discretised (trapezoid):
     U_t  = e^{-lam dt} U_{t-dt} + (age_norm/2) * clipped trapezoid of
            lam e^{lam(s-t)} X_s^2 over the step
 
-Each path draws from its own substream spawned from (seed, path index),
-so results do not depend on how paths are batched or ordered.
+``simulate`` builds stored paths of X alone, each from its stationary
+draw and its own substream spawned from (seed, path index), so results
+do not depend on how paths are batched or ordered.  Along each path's
+time axis X is evaluated in blocks rather than one step at a time:
+inside a block the linear recursion y_k = e^{-lam dt} y_{k-1} + s_k is a
+scaled cumulative sum, with blocks short enough that no scale factor
+exceeds e.  Rounding then differs from the step-by-step recursion; at
+3 x 200,000 steps of dt = 5e-5 the two agree to 1e-12 absolute
+(tests/test_ou.py).  ``simulate`` holds the X array and
+O(n_paths * block) scratch for the recursion.
 
-X and U are evaluated along each path's time axis in blocks rather than
-one step at a time: inside a block the linear recursion
-y_k = e^{-lam dt} y_{k-1} + s_k is a scaled cumulative sum, with blocks
-short enough that no scale factor exceeds e.  Rounding then differs from
-the step-by-step recursion; at 3 x 200,000 steps of dt = 5e-5 the two
-agree to 1e-12 absolute (tests/test_ou.py).
-
-Only X is stored.  W and U are fixed functions of an X row (plus u_init
-and age_norm for U), so ``w_row`` and ``u_row`` build them one row at a
-time on demand; ``simulate`` holds the X array and O(n_paths * block)
-scratch for the recursion.  ``advance`` steps (X, U) forward without
-storing a path, for the Monte Carlo oracles.
+W is a fixed function of an X row, so ``w_row`` builds it one row at a
+time on demand.  U exists only in ``advance``, which steps (X, U)
+forward without storing a path, for the Monte Carlo oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class SimConfig:
     n_steps: int
     dt: float
     seed: int
-    measure_mean: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_paths < 1 or self.n_steps < 0:
@@ -57,18 +56,14 @@ class SimPath:
     """Simulated factor trajectories with the reversion rate they were
     drawn at.
 
-    ``xs`` is (n_paths, n_steps+1) and frozen after construction.  W and
-    U are not stored: ``ws`` and ``us`` build them afresh from ``xs``,
-    U from ``u_init`` and ``age_norm`` too, each call a new array of the
-    same shape.  Row-at-a-time callers use ``w_row``/``u_row`` instead.
+    ``xs`` is (n_paths, n_steps+1) and frozen after construction.  W is
+    not stored: ``w_row`` builds it from one X row.
     """
 
     t0: float
     dt: float
     lam: float
     xs: np.ndarray
-    u_init: float
-    age_norm: float
 
     def __post_init__(self) -> None:
         self.xs.setflags(write=False)
@@ -81,20 +76,6 @@ class SimPath:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.xs.shape[1])
 
-    @property
-    def ws(self) -> np.ndarray:
-        out = np.empty_like(self.xs)
-        for x, w in zip(self.xs, out):
-            w_row(x, self.lam, self.dt, out=w)
-        return out
-
-    @property
-    def us(self) -> np.ndarray:
-        out = np.empty_like(self.xs)
-        for x, u in zip(self.xs, out):
-            u_row(x, self.lam, self.dt, self.age_norm, self.u_init, out=u)
-        return out
-
 
 def step_consts(lam: float, dt: float) -> tuple[float, float]:
     """Decay e^{-lam dt} and shock sd sqrt((1 - e^{-2 lam dt}) / (2 lam))
@@ -104,21 +85,16 @@ def step_consts(lam: float, dt: float) -> tuple[float, float]:
     return decay, sd
 
 
-def exact_step(x, dt: float, z, mean: float, lam: float):
-    """One exact OU transition: mean + (x-mean)e^{-lam dt} + sd(dt) * z."""
-    decay, sd = step_consts(lam, dt)
-    return mean + (x - mean) * decay + sd * z
-
-
 def advance(x: np.ndarray, u, rng: np.random.Generator, n_steps: int,
             lam: float, dt: float,
             age_norm: float) -> tuple[np.ndarray, np.ndarray]:
     """Take ``n_steps`` exact mean-zero OU steps of ``x`` in place, one
     draw of len(x) normals per step, and return (x, U).
 
-    U follows ``u_row``'s recursion from ``u`` (scalar or like ``x``),
-    summed as U_n = u d^n + (age_norm lam dt / 4) v_n with d = e^{-lam dt}
-    and v_k = d (v_{k-1} + X_{k-1}^2) + X_k^2: no factor exceeds 1.
+    U starts from ``u`` (scalar or like ``x``) and follows the trapezoid
+    recursion U_k = d U_{k-1} + (age_norm lam dt / 4)(d X_{k-1}^2 + X_k^2)
+    with d = e^{-lam dt}, summed as U_n = u d^n + (age_norm lam dt / 4) v_n
+    with v_k = d (v_{k-1} + X_{k-1}^2) + X_k^2: no factor exceeds 1.
     """
     decay, sd = step_consts(lam, dt)
     z = np.empty_like(x)
@@ -136,11 +112,11 @@ def advance(x: np.ndarray, u, rng: np.random.Generator, n_steps: int,
     return x, u * decay ** n_steps + 0.25 * age_norm * lam * dt * v
 
 
-def sample_stationary(mean: float, lam: float, z):
-    """Draw from the stationary law N(mean, 1/(2 lam)) given standard normals."""
+def sample_stationary(lam: float, z):
+    """Draw from the stationary law N(0, 1/(2 lam)) given standard normals."""
     if not lam > 0.0:
         raise InvalidParamsError("lam must be positive")
-    return mean + z / np.sqrt(2.0 * lam)
+    return z / np.sqrt(2.0 * lam)
 
 
 def philox_stream(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -182,51 +158,19 @@ def w_row(x: np.ndarray, lam: float, dt: float,
     return w
 
 
-def u_row(x: np.ndarray, lam: float, dt: float, age_norm: float,
-          u_init: float, out: np.ndarray | None = None) -> np.ndarray:
-    """U along one X row: U_0 = u_init, then with d = e^{-lam dt}
-    U_k = d U_{k-1} + (age_norm lam dt / 4) (d X_{k-1}^2 + X_k^2)."""
-    u = np.empty_like(x) if out is None else out
-    u[0] = u_init
-    x2 = x * x
-    np.multiply(x2[:-1], math.exp(-lam * dt), out=u[1:])
-    u[1:] += x2[1:]
-    u[1:] *= 0.25 * age_norm * lam * dt
-    _decay_recurrence(u, lam * dt)
-    return u
-
-
 def simulate(config: SimConfig, params: ModelParams, consts: DerivedConstants,
-             x_init: float | None = None, u_init: float = 0.0,
              t0: float = 0.0) -> SimPath:
-    """Simulate paths of X under the measure with the given mean.
-
-    When ``x_init`` is None each path starts from its own stationary draw;
-    otherwise all paths start at ``x_init``.  ``u_init`` seeds the U
-    recursion (its stationary law has no closed form, only its mean);
-    the returned path derives W and U from X on demand.
-    """
+    """Simulate mean-zero paths of X, each started from its own
+    stationary draw.  Only ``params.lam`` affects the result."""
     lam = params.lam
     n, m = config.n_paths, config.n_steps
-    dt, mean = config.dt, config.measure_mean
-    _, sd = step_consts(lam, dt)
+    _, sd = step_consts(lam, config.dt)
 
-    # one substream per path: layout is [x0 draw if needed, then steps]
+    # one substream per path: the stationary start draw, then the steps
     xs = np.empty((n, m + 1))
     for i in range(n):
         philox_stream(config.seed, i).standard_normal(out=xs[i])
-    if x_init is None:
-        xs[:, 0] = sample_stationary(mean, lam, xs[:, 0])
-    else:
-        xs[:, 0] = x_init
-
-    # X as deviations from the mean, the shocks sd * z as increments
-    x0 = xs[:, 0].copy()
-    xs[:, 0] -= mean
+    xs[:, 0] = sample_stationary(lam, xs[:, 0])
     xs[:, 1:] *= sd
-    _decay_recurrence(xs, lam * dt)
-    xs += mean
-    xs[:, 0] = x0          # exactly, not (x0 - mean) + mean
-
-    return SimPath(t0=t0, dt=dt, lam=lam, xs=xs, u_init=u_init,
-                   age_norm=consts.age_norm)
+    _decay_recurrence(xs, lam * config.dt)
+    return SimPath(t0=t0, dt=config.dt, lam=lam, xs=xs)

@@ -7,11 +7,13 @@ transform, integrated over maturities:
         int_0^inf e^{-rho tau - (1 - e^{-lam tau}) u}
                   (da/2 x^2 + db x + dc) e^{a/2 x^2 + b x + c} dtau
 
-evaluated by composite Simpson on the closed-form grid.  The integrand
-decays exactly like e^{-rho tau} once the transient (rate lam) has died
-out, so the truncation horizon and node spacing start from
-max(10/rho, 20/lam) and 0.005 and are refined until the a-posteriori
-tail and Richardson estimates meet rel_tol, within MAX_NODES nodes.
+evaluated by composite Simpson on the closed-form grid and closed by
+its exact tail: once the transient (rate lam) has died out the
+integrand decays like e^{-rho tau}, so the integral past the horizon is
+f(tau_max)/rho, folded into the last weight.  Horizon and node spacing
+start from max(10/rho, 20/lam) and 0.005 and are refined until
+|f(tau_max)| (``integrand_tail``) and the Richardson estimate meet
+rel_tol, within MAX_NODES nodes.
 
 The integrand is an x part F(x, tau) times the u part
 G(u, tau) = e^{-(1 - e^{-lam tau}) u}, and F_x is closed form, so the
@@ -71,11 +73,14 @@ class PriceReport:
     factor_sign_change: bool = False
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
+def _simpson_weights(n: int, h: float, rho: float) -> np.ndarray:
+    """Composite Simpson weights on n nodes of spacing h, plus 1/rho on the
+    last node for the e^{-rho tau} tail beyond it."""
     w = np.zeros(n)
     w[0:-2:2] += h / 3.0
     w[1:-1:2] += 4.0 * h / 3.0
     w[2::2] += h / 3.0
+    w[-1] += 1.0 / rho
     return w
 
 
@@ -121,7 +126,7 @@ def _stock_and_slope(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
     """
     taus = sol.taus
     gw = _u_part(us, sol, consts)
-    gw *= _simpson_weights(len(taus), taus[1] - taus[0])
+    gw *= _simpson_weights(len(taus), taus[1] - taus[0], params.rho)
     f = np.empty((2, taus.size))
     s = np.empty((xs.size, us.size))
     s_x = np.empty((xs.size, us.size))
@@ -166,9 +171,10 @@ def _solve_grid(state: MarketState, params: ModelParams,
             raise DivergentIntegralError(
                 f"integrand not finite at x={state.x:.6g}, u={state.u:.6g}")
         h = sol.taus[1] - sol.taus[0]
-        w = _simpson_weights(n_grid, h)
+        w = _simpson_weights(n_grid, h, params.rho)
         total = float(integ @ w)
-        half = float(integ[::2] @ _simpson_weights((n_grid + 1) // 2, 2 * h))
+        half = float(integ[::2] @ _simpson_weights((n_grid + 1) // 2, 2 * h,
+                                                   params.rho))
         grid_err = abs(total - half) / 15.0
         tail = abs(integ[-1])
         scale = max(abs(total), 1e-300)

@@ -140,7 +140,8 @@ def test_price_finite_at_small_rho(capsys):
     stock = float(out.strip().splitlines()[1].split(",")[10])
     assert code == 0
     assert math.isfinite(stock)
-    assert stock == pytest.approx(2.11356085211, rel=1e-8)
+    # the independent reference (benchmarks/reference.py) at these inputs
+    assert stock == pytest.approx(2.113562353491, rel=1e-8)
 
 
 def test_seed_precedence(monkeypatch):
@@ -239,6 +240,22 @@ def test_overflowing_state_prints_one_stderr_line(argv):
     # a fresh interpreter with numpy's default error handling: the failure
     # is reported on one line, without RuntimeWarnings ahead of it
     src = str(Path(dynastyprice.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            f"from dynastyprice.cli import main; sys.exit(main({argv!r}))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert run.stderr.startswith("numerical failure: ")
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+
+
+def test_validate_age_past_path_exits_numerical():
+    # at population 100,000 seed 996 samples a dynasty age beyond the
+    # 10-unit burn-in path: a numerical failure on one stderr line, not a
+    # traceback with the exit code of a failed check
+    src = str(Path(dynastyprice.__file__).resolve().parents[1])
+    argv = ["validate", "--suite", "aggregation", "--seed", "996"]
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             f"from dynastyprice.cli import main; sys.exit(main({argv!r}))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -130,8 +130,7 @@ def test_mc_stock_normalisation_invariance(defaults, monkeypatch):
 def test_xi_eta_constant_path(defaults):
     n = 1000
     zeros = np.zeros((1, n + 1))
-    path = SimPath(t0=-1.0, dt=1e-3, lam=2.0, xs=zeros.copy(), u_init=0.0,
-                   age_norm=1.0)
+    path = SimPath(t0=-1.0, dt=1e-3, lam=2.0, xs=zeros.copy())
     xd, ed = xi_eta_check(path)
     assert xd[0] == 0.0
     assert ed[0] == 0.0
@@ -161,7 +160,7 @@ def test_xi_eta_memory_bounded(defaults):
 
 
 def test_xi_eta_adds_only_row_scratch(defaults):
-    # W is rebuilt one row at a time: the check never materialises path.ws
+    # W is rebuilt one row at a time: the check never holds a W array
     params, _, consts = defaults
     cfg = SimConfig(n_paths=100, n_steps=20_000, dt=5e-4, seed=8)
     path = simulate(cfg, params, consts, t0=-10.0)

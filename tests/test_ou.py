@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynastyprice import (SimConfig, derive_constants, exact_step,
-                          expected_u, sample_stationary, simulate)
+from dynastyprice import (SimConfig, derive_constants, expected_u,
+                          sample_stationary, simulate)
 from dynastyprice.calibration import build_defaults
 from dynastyprice.model import InvalidParamsError
-from dynastyprice.ou import philox_stream, step_consts
+from dynastyprice.ou import advance, philox_stream, step_consts, w_row
 
 
 @pytest.fixture()
@@ -16,12 +16,18 @@ def defaults():
     return params, derive_constants(params)
 
 
-def test_exact_step_fixed_point():
-    assert exact_step(1.7, 0.3, 0.0, 1.7, 2.0) == pytest.approx(1.7, rel=1e-15)
+def test_step_consts_short_step():
+    # decay e^{-lam dt} and variance (1 - e^{-2 lam dt}) / (2 lam)
+    decay, sd = step_consts(2.0, 0.1)
+    assert decay == pytest.approx(np.exp(-0.2), rel=1e-15)
+    assert sd * sd == pytest.approx(0.082419988491090175, rel=1e-15)
 
 
-def test_exact_step_full_reversion():
-    assert exact_step(5.0, 1e6, 0.0, 0.2, 2.0) == pytest.approx(0.2, abs=1e-12)
+def test_step_consts_full_reversion():
+    # a step far past 1/lam forgets the start and lands on N(0, 1/(2 lam))
+    decay, sd = step_consts(2.0, 1e6)
+    assert decay == pytest.approx(0.0, abs=1e-12)
+    assert sd * sd == pytest.approx(0.25, rel=1e-15)
 
 
 def test_one_step_variance():
@@ -29,17 +35,15 @@ def test_one_step_variance():
     lam, dt = 2.0, 0.1
     want = 0.082419988491090175
     rng = np.random.default_rng(101)
-    z = rng.standard_normal(1_000_000)
-    steps = exact_step(0.0, dt, z, 0.0, lam)
+    steps, _ = advance(np.zeros(1_000_000), 0.0, rng, 1, lam, dt, 1.0)
     var = steps.var(ddof=1)
-    se = want * np.sqrt(2.0 / (len(z) - 1))
+    se = want * np.sqrt(2.0 / (len(steps) - 1))
     assert abs(var - want) < 3 * se
 
 
 def test_sample_stationary():
-    assert sample_stationary(0.7, 2.0, 0.0) == 0.7
     rng = np.random.default_rng(55)
-    draws = sample_stationary(0.0, 2.0, rng.standard_normal(1_000_000))
+    draws = sample_stationary(2.0, rng.standard_normal(1_000_000))
     want = 0.25
     se = want * np.sqrt(2.0 / (len(draws) - 1))
     assert abs(draws.var(ddof=1) - want) < 3 * se
@@ -47,24 +51,28 @@ def test_sample_stationary():
 
 def test_simulate_determinism_and_shapes(defaults):
     params, consts = defaults
-    cfg = SimConfig(n_paths=7, n_steps=50, dt=1e-3, seed=99, measure_mean=0.3)
-    a = simulate(cfg, params, consts, u_init=0.5)
-    b = simulate(cfg, params, consts, u_init=0.5)
+    cfg = SimConfig(n_paths=7, n_steps=50, dt=1e-3, seed=99)
+    a = simulate(cfg, params, consts)
+    b = simulate(cfg, params, consts)
     assert np.array_equal(a.xs, b.xs)
-    assert np.array_equal(a.ws, b.ws)
-    assert np.array_equal(a.us, b.us)
     assert a.xs.shape == (7, 51)
-    assert np.all(a.ws[:, 0] == 0.0)
+    for x in a.xs:
+        w = w_row(x, a.lam, a.dt)
+        assert w.shape == (51,)
+        assert w[0] == 0.0
     assert not a.xs.flags.writeable
 
 
 def test_simulate_zero_steps(defaults):
+    # no steps: each path is its stationary start draw alone
     params, consts = defaults
     path = simulate(SimConfig(n_paths=3, n_steps=0, dt=1e-3, seed=1),
-                    params, consts, x_init=1.5, u_init=0.2)
+                    params, consts)
     assert path.xs.shape == (3, 1)
-    assert np.all(path.xs == 1.5)
-    assert np.all(path.us == 0.2)
+    starts = [sample_stationary(params.lam,
+                                philox_stream(1, i).standard_normal())
+              for i in range(3)]
+    assert np.array_equal(path.xs[:, 0], starts)
 
 
 def test_path_index_substreams(defaults):
@@ -80,15 +88,22 @@ def test_path_index_substreams(defaults):
 def test_terminal_u_mean(defaults):
     # stationary start at mean a with u seeded at E U keeps E U_t flat
     params, consts = defaults
-    a = 2.01
+    lam, a = params.lam, 2.01
     target = expected_u(a, params, consts)
-    cfg = SimConfig(n_paths=10_000, n_steps=2_000, dt=1e-3, seed=31,
-                    measure_mean=a)
-    path = simulate(cfg, params, consts, u_init=target)
-    term = path.us[:, -1]
+    cfg = SimConfig(n_paths=10_000, n_steps=2_000, dt=1e-3, seed=31)
+    xs = a + simulate(cfg, params, consts).xs
+    # the trapezoid recursion of U, one step at a time
+    decay = np.exp(-lam * cfg.dt)
+    half_w = 0.25 * consts.age_norm * lam * cfg.dt
+    term = np.full(cfg.n_paths, target)
+    lowest = target
+    for k in range(cfg.n_steps):
+        term = term * decay + half_w * (decay * xs[:, k] ** 2
+                                        + xs[:, k + 1] ** 2)
+        lowest = min(lowest, term.min())
     se = term.std(ddof=1) / np.sqrt(len(term))
     assert abs(term.mean() - target) < 3 * se
-    assert np.all(path.us >= 0.0)
+    assert lowest >= 0.0
 
 
 def test_w_increment_normality(defaults):
@@ -96,7 +111,8 @@ def test_w_increment_normality(defaults):
     params, consts = defaults
     cfg = SimConfig(n_paths=200, n_steps=500, dt=1e-3, seed=17)
     path = simulate(cfg, params, consts)
-    z = np.diff(path.ws, axis=1).ravel() / np.sqrt(cfg.dt)
+    ws = np.array([w_row(x, path.lam, path.dt) for x in path.xs])
+    z = np.diff(ws, axis=1).ravel() / np.sqrt(cfg.dt)
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var(ddof=1) - 1.0) < 4.0 * np.sqrt(2.0 / n)
@@ -106,67 +122,46 @@ def test_w_increment_normality(defaults):
     assert abs(kurt) < 4.0 * np.sqrt(24.0 / n)
 
 
-def test_u_recursion_telescopes(defaults):
-    # stepwise recursion equals one trapezoid of the defining integral
-    params, consts = defaults
-    lam = params.lam
-    cfg = SimConfig(n_paths=4, n_steps=800, dt=2e-3, seed=5)
-    path = simulate(cfg, params, consts, u_init=0.37)
-    t_end = cfg.n_steps * cfg.dt
-    s = path.times
-    integrand = lam * np.exp(lam * (s - t_end)) * path.xs ** 2
-    direct = (0.37 * np.exp(-lam * t_end)
-              + 0.5 * consts.age_norm * np.trapezoid(integrand, dx=cfg.dt, axis=1))
-    assert np.allclose(path.us[:, -1], direct, rtol=1e-12, atol=1e-14)
-
-
-def _sequential(config, params, consts, x_init=None, u_init=0.0):
+def _sequential(config, params):
     """Reference: the step-by-step recursions, one time step at a time."""
     lam = params.lam
     n, m = config.n_paths, config.n_steps
-    dt, mean = config.dt, config.measure_mean
+    dt = config.dt
     z = np.empty((n, m + 1))
     for i in range(n):
         z[i] = philox_stream(config.seed, i).standard_normal(m + 1)
     xs = np.empty((n, m + 1))
-    xs[:, 0] = sample_stationary(mean, lam, z[:, 0]) if x_init is None else x_init
+    xs[:, 0] = sample_stationary(lam, z[:, 0])
     decay, sd = step_consts(lam, dt)
     for k in range(m):
-        xs[:, k + 1] = mean + (xs[:, k] - mean) * decay + sd * z[:, k + 1]
+        xs[:, k + 1] = xs[:, k] * decay + sd * z[:, k + 1]
     ws = np.zeros_like(xs)
     if m:
         dw = np.diff(xs, axis=1) + 0.5 * lam * dt * (xs[:, :-1] + xs[:, 1:])
         np.cumsum(dw, axis=1, out=ws[:, 1:])
-    us = np.empty_like(xs)
-    us[:, 0] = u_init
-    half_w = 0.25 * consts.age_norm * lam * dt
-    for k in range(m):
-        us[:, k + 1] = (us[:, k] * decay
-                        + half_w * (decay * xs[:, k] ** 2 + xs[:, k + 1] ** 2))
-    return xs, ws, us
+    return xs, ws
 
 
-@pytest.mark.parametrize("cfg, kwargs", [
-    (SimConfig(n_paths=3, n_steps=200_000, dt=5e-5, seed=1004), {}),
-    (SimConfig(n_paths=4, n_steps=60, dt=0.75, seed=3), {"u_init": 0.4}),
-    (SimConfig(n_paths=7, n_steps=5000, dt=1e-3, seed=5, measure_mean=0.3),
-     {"x_init": 1.5, "u_init": 0.2}),
-    (SimConfig(n_paths=2, n_steps=0, dt=1e-3, seed=9), {}),
-    (SimConfig(n_paths=2, n_steps=1, dt=1e-3, seed=9, measure_mean=0.3), {}),
+@pytest.mark.parametrize("cfg", [
+    SimConfig(n_paths=3, n_steps=200_000, dt=5e-5, seed=1004),
+    SimConfig(n_paths=4, n_steps=60, dt=0.75, seed=3),
+    SimConfig(n_paths=7, n_steps=5000, dt=1e-3, seed=5),
+    SimConfig(n_paths=2, n_steps=0, dt=1e-3, seed=9),
+    SimConfig(n_paths=2, n_steps=1, dt=1e-3, seed=9),
 ], ids=["long", "block_one", "mean_x_init", "zero_steps", "one_step"])
-def test_simulate_matches_sequential_loop(defaults, cfg, kwargs):
+def test_simulate_matches_sequential_loop(defaults, cfg):
     # blocked evaluation along the time axis rounds differently from the
     # step-by-step recursion, but only at the level of float64 round-off
     params, consts = defaults
-    path = simulate(cfg, params, consts, **kwargs)
-    for got, want in zip((path.xs, path.ws, path.us),
-                         _sequential(cfg, params, consts, **kwargs)):
+    path = simulate(cfg, params, consts)
+    ws = np.array([w_row(x, path.lam, path.dt) for x in path.xs])
+    for got, want in zip((path.xs, ws), _sequential(cfg, params)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
 
 def test_simulate_memory_bounded(defaults):
-    # the three returned arrays plus O(n_steps + n_paths * block) scratch
+    # the X array plus O(n_steps + n_paths * block) scratch
     params, consts = defaults
     cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
     tracemalloc.start()
@@ -179,7 +174,7 @@ def test_simulate_memory_bounded(defaults):
 
 
 def test_simulate_holds_one_path_array(defaults):
-    # only X is stored; W and U are rebuilt from it on demand
+    # only X is stored; W is rebuilt from it one row at a time
     params, consts = defaults
     cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
     tracemalloc.start()

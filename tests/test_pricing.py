@@ -1,7 +1,10 @@
+import importlib.util
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,37 @@ def test_stock_report_meets_tolerances(defaults):
     assert rep.integrand_tail / rep.stock < q.rel_tol
     assert rep.grid_error / rep.stock < q.rel_tol
     assert not rep.factor_sign_change
+
+
+def _reference_module():
+    # the benchmark's DOP853 reference imports nothing from the package
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.py"
+    spec = importlib.util.spec_from_file_location("_stock_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("over", [
+    {}, {"lam": 1.0, "rho": 0.08, "epsilon": 1.5},
+    {"lam": 2.5, "rho": 0.04, "epsilon": 0.6},
+    {"lam": 3.0, "rho": 0.03, "epsilon": 2.0},
+    {"lam": 1.2, "rho": 0.06}, {"lam": 2.0, "rho": 0.01},
+], ids=["defaults", "lam1", "lam2.5", "lam3", "lam1.2", "rho0.01"])
+def test_reported_stock_error_bounds_true_error(over):
+    # tail plus grid error must cover the distance to an independent
+    # high-precision solve, at x = 2.01 and u at its stationary mean
+    ref = _reference_module()
+    kw = dict(ref.DEFAULTS, **over)
+    rp, params = ref.Params(**kw), ModelParams(**kw)
+    x = 2.01
+    u = ref.stationary_u(rp, x)
+    s_ref = float(ref.quotes(rp, [x], [u]).stock[0])
+    rep = stock_price(MarketState(x, u), params, derive_constants(params))
+    err = abs(rep.stock - s_ref)
+    assert err <= rep.integrand_tail + rep.grid_error
+    assert err <= 1e-8 * s_ref
 
 
 def test_stock_deterministic(defaults):
@@ -238,7 +272,8 @@ def test_drift_against_one_step_simulation(defaults):
 
     # S at each (x1, u1) pair: the pairs share no axis, so one x part and
     # one u part per state
-    w = _simpson_weights(sol.taus.size, sol.taus[1] - sol.taus[0])
+    w = _simpson_weights(sol.taus.size, sol.taus[1] - sol.taus[0],
+                         params.rho)
     f = np.empty((2, sol.taus.size))
     s1 = np.empty(n)
     for i in range(n):
@@ -291,7 +326,8 @@ def test_pde_u_direction_semi_analytic(defaults):
     f = np.empty((2, sol.taus.size))
     _x_part(state.x, sol, params, consts, f)
     integ = f[0] * _u_part([state.u], sol, consts)[0]
-    w = _simpson_weights(len(sol.taus), sol.taus[1] - sol.taus[0])
+    w = _simpson_weights(len(sol.taus), sol.taus[1] - sol.taus[0],
+                         params.rho)
     exact_hu = -np.sum(w * integ * (1.0 - np.exp(-params.lam * sol.taus)))
     du = 1e-3
     up = _stock_at(state.x, state.u + du, sol, params, consts)
@@ -310,12 +346,17 @@ def test_expected_u_values(defaults):
 
 def test_expected_u_against_time_average(defaults):
     params, _, consts = defaults
-    a = 2.01
+    lam, a = params.lam, 2.01
     target = expected_u(a, params, consts)
-    cfg = SimConfig(n_paths=1, n_steps=400_000, dt=1e-3, seed=23,
-                    measure_mean=a)
-    path = simulate(cfg, params, consts, u_init=target)
-    u = path.us[0]
+    cfg = SimConfig(n_paths=1, n_steps=400_000, dt=1e-3, seed=23)
+    x = (a + simulate(cfg, params, consts).xs[0]).tolist()
+    # the trapezoid recursion of U, one step at a time
+    decay = math.exp(-lam * cfg.dt)
+    half_w = 0.25 * consts.age_norm * lam * cfg.dt
+    u = np.empty(cfg.n_steps + 1)
+    u[0] = target
+    for k in range(cfg.n_steps):
+        u[k + 1] = u[k] * decay + half_w * (decay * x[k] ** 2 + x[k + 1] ** 2)
     # batch means against autocorrelation (memory ~ 1/lam)
     batches = u[: (len(u) // 8000) * 8000].reshape(-1, 8000).mean(axis=1)
     se = batches.std(ddof=1) / math.sqrt(len(batches))
