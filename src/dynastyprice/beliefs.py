@@ -83,15 +83,13 @@ def sample_age(epsilon: float, lam: float, rng: np.random.Generator,
 
 def aggregate_log_lambda(population_size: int, params: ModelParams,
                          consts: DerivedConstants, shared_path: SimPath,
-                         seed: int, alpha_std: float = 0.1,
-                         gammas: np.ndarray | None = None
+                         seed: int, alpha_std: float = 0.1
                          ) -> tuple[float, float]:
-    """Population average of Gamma * (1/gamma_i) * log Lambda_i.
+    """Population average of Gamma * (1/gamma_i) * log Lambda_i, with every
+    gamma_i at gamma_agg, and its standard error.
 
-    All dynasties observe the same path; ages, prior means and risk
-    aversions are drawn independently (ages from phi, alpha_i from
-    N(alpha_mean, alpha_std^2), gamma_i constant at gamma_agg unless an
-    explicit array is given).  Returns (mean, standard error).
+    All dynasties observe the same path; ages are drawn from phi and prior
+    means alpha_i from N(alpha_mean, alpha_std^2), independently.
     """
     if shared_path.xs.shape[0] != 1:
         raise ValueError("shared_path must hold a single trajectory")
@@ -110,8 +108,6 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
     dw = ws[-1] - w_birth
 
     vals = log_lambda_density(dw, ages, alphas, params.epsilon)
-    if gammas is not None:
-        vals = params.gamma_agg / np.asarray(gammas) * vals
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(population_size))
     return mean, se

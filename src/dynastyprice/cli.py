@@ -109,6 +109,8 @@ def load_config(args) -> dict:
             cfg["seed"] = int(os.environ["DYNASTY_SEED"])
         except ValueError as exc:
             raise ConfigError("DYNASTY_SEED must be an integer") from exc
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
     return cfg
 
 
@@ -161,9 +163,11 @@ def cmd_rate(args) -> int:
     cfg = load_config(args)
     params, state = make_model(cfg)
     consts = derive_constants(params)
+    rate = short_rate(state, consts)
+    if not np.isfinite(rate):
+        raise DivergentIntegralError(f"rate not finite at x={state.x:.6g}")
     head, row = _echo_columns(cfg)
-    _emit([head + ",rate", row + f",{_fmt(short_rate(state, consts))}"],
-          args.out)
+    _emit([head + ",rate", row + f",{_fmt(rate)}"], args.out)
     return 0
 
 
@@ -208,6 +212,9 @@ def cmd_volsurf(args) -> int:
     cfg = load_config(args)
     params, _ = make_model(cfg)
     consts = derive_constants(params)
+    ends = (args.x_from, args.x_to, args.u_from, args.u_to)
+    if not np.all(np.isfinite(ends)):
+        raise ConfigError("volsurf axis ends must be finite")
     xs = np.linspace(args.x_from, args.x_to, args.x_steps)
     us = np.linspace(args.u_from, args.u_to, args.u_steps)
     grid = volatility_grid(xs, us, params, consts)

@@ -49,7 +49,6 @@ class ModelParams:
     epsilon: float
     gamma_agg: float
     alpha_mean: float
-    require_positive_dividend: bool = False
 
     def __post_init__(self) -> None:
         _require_finite(self, ("a0", "a1", "a2", "lam", "rho", "epsilon",
@@ -60,10 +59,6 @@ class ModelParams:
         if self.lam * self.epsilon < 1.0:
             raise InvalidParamsError(
                 "lam * epsilon >= 1 required (age density must be decreasing)")
-        if self.require_positive_dividend and self.a2 > 0.0:
-            if self.a0 < self.a1 ** 2 / (4.0 * self.a2):
-                raise InvalidParamsError(
-                    "a0 >= a1^2 / (4 a2) required for a nonnegative dividend")
 
 
 @dataclass(frozen=True)

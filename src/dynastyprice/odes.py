@@ -163,6 +163,7 @@ def g_closed(u, theta: float, params: ModelParams, consts: DerivedConstants):
     return g, gdot
 
 
+@np.errstate(all="ignore")     # _check_g and the callers reject inf and NaN
 def abc_eval(inputs: OdeInputs) -> OdeSolution:
     """Evaluate a, b, c and tilt derivatives from the closed forms."""
     params, consts, theta = inputs.params, inputs.consts, inputs.theta

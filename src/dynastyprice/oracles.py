@@ -39,6 +39,8 @@ from .ou import (SimConfig, SimPath, advance, philox_stream,
 LOG_PAYOFF_CAP = 700.0
 T_SUB = 10              # mc_stock: OU steps per maturity-grid interval
 TAIL_WINDOW = 5.0       # mc_stock: time units averaged for the tail
+ALPHA_STD = 0.1         # aggregation_check: sd of the dynasties' prior means
+AGE_TAIL_MAX = 0.01     # aggregation_check: expected ages past the burn-in
 
 
 class OverflowGuardError(ArithmeticError):
@@ -67,13 +69,6 @@ class McEstimate:
     mean: float
     se: float
     tail: float = 0.0
-
-
-def _check_burn_in(cfg: OracleConfig, lam: float) -> None:
-    if cfg.burn_in < 10.0 / lam:
-        raise InvalidParamsError(
-            f"burn_in must be >= 10/lam = {10.0 / lam:.3f} "
-            "(past-window truncation)")
 
 
 def mc_v(state: MarketState, t_horizon: float, theta: float,
@@ -192,8 +187,8 @@ def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
 
 
 def aggregation_check(params: ModelParams, consts: DerivedConstants,
-                      cfg: OracleConfig, population_n: int,
-                      alpha_std: float = 0.1) -> tuple[float, float, float]:
+                      cfg: OracleConfig, population_n: int
+                      ) -> tuple[float, float, float]:
     """Aggregation limit: population mean of (Gamma/gamma_i) log Lambda_i
     against (A/2) eta + alpha_mean eps A xi + deterministic age constant.
 
@@ -202,15 +197,24 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
     (Gauss-Laguerre), and -eps E[alpha^2] E[u/(2(eps+u))], whose age
     expectation is exactly A/(2 lam).
     """
-    _check_burn_in(cfg, params.lam)
+    lam, eps, big_a = params.lam, params.epsilon, consts.age_norm
+    if cfg.burn_in < 10.0 / lam:
+        raise InvalidParamsError(
+            f"burn_in must be >= 10/lam = {10.0 / lam:.3f} "
+            "(past-window truncation)")
+    # sample_age's P(age >= b) = A e^{-lam b} (eps + b + 1/lam), b = burn_in
+    past = population_n * big_a * math.exp(-lam * cfg.burn_in) * (
+        eps + cfg.burn_in + 1.0 / lam)
+    if past > AGE_TAIL_MAX:
+        raise InvalidParamsError(f"burn_in {cfg.burn_in:g} leaves {past:.3g} "
+                                 "dynasty ages expected past the path")
     n_steps = int(round(cfg.burn_in / cfg.dt))
     sim = SimConfig(n_paths=1, n_steps=n_steps, dt=cfg.dt, seed=cfg.seed)
     path = simulate(sim, params, consts, t0=-cfg.burn_in)
 
     mean, se = aggregate_log_lambda(population_n, params, consts, path,
-                                    seed=cfg.seed + 1, alpha_std=alpha_std)
+                                    seed=cfg.seed + 1, alpha_std=ALPHA_STD)
 
-    lam, eps, big_a = params.lam, params.epsilon, consts.age_norm
     x_t = float(path.xs[0, -1])
     eta = x_t * x_t + _history(path.xs[0], _lag_weights(lam, cfg.dt, n_steps),
                                cfg.dt)
@@ -220,7 +224,7 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
     u_nodes = nodes / lam
     phi_mass = weights * big_a * (eps + u_nodes)
     const_log = float(np.sum(phi_mass * 0.5 * np.log(eps / (eps + u_nodes))))
-    e_alpha_sq = params.alpha_mean ** 2 + alpha_std ** 2
+    e_alpha_sq = params.alpha_mean ** 2 + ALPHA_STD ** 2
     const_alpha = -eps * e_alpha_sq * big_a / (2.0 * lam)
 
     target = (0.5 * big_a * eta + params.alpha_mean * eps * big_a * xi

@@ -18,11 +18,11 @@ rel_tol, within MAX_NODES nodes.
 The integrand is an x part F(x, tau) times the u part
 G(u, tau) = e^{-(1 - e^{-lam tau}) u}, and F_x is closed form, so the
 slope h_x needs no bumps.  `_x_part` and `_u_part` are the only code that
-forms the integrand: the grid solve multiplies them for its one state,
-and `volatility`, `drift_star`, `volatility_grid` and `pde_residual` take
-S and h_x from `_stock_and_slope` on a solved grid.  `pde_residual`
-keeps finite-difference stencils over those S values as an independent
-check of the pricing PDE.
+forms the integrand: the grid solve multiplies them for its one state and
+contracts F and F_x on the pass it accepts (`stock_price`, `volatility`,
+`drift_star`); `volatility_grid` and `pde_residual` take S and h_x from
+`_stock_and_slope` on the grid solved at their median state, with
+finite-difference stencils in `pde_residual` as an independent PDE check.
 
 The zero-coupon bond is the untilted transform itself and needs no
 maturity integral: it is one closed-form evaluation at its maturity.
@@ -49,13 +49,12 @@ MAX_NODES = 2 ** 21 + 1
 
 
 class DivergentIntegralError(ArithmeticError):
-    """Maturity integrand is not decaying at the truncation horizon, or the
-    integrand, the price or its slope is not finite (overflowing state)."""
+    """Maturity integrand is not decaying at the truncation horizon, or a
+    price, its slope or the short rate is not finite (overflowing state)."""
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    tau_max: float | None = None    # None: max(10/rho, 20/lam), auto-extended
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -138,23 +137,16 @@ def _stock_and_slope(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
     return s, s_x
 
 
-def _resolve_grid(params: ModelParams, q: QuadratureConfig) -> tuple[float, int]:
-    tau_max = q.tau_max
-    if tau_max is None:
-        tau_max = max(10.0 / params.rho, 20.0 / params.lam)
+def _solve_grid(state: MarketState, params: ModelParams,
+                consts: DerivedConstants, q: QuadratureConfig
+                ) -> tuple[OdeSolution, PriceReport, float]:
+    """Refine the grid until the bounds hold; return sol, report and S_x."""
+    tau_max = max(10.0 / params.rho, 20.0 / params.lam)
     # density h ~ 0.005 resolves the maturity integrand's transients on
     # the 1/lam scale for the Simpson rule; refinement handles the rest
     n_grid = max(2001, math.ceil(tau_max / 0.005))
     if n_grid % 2 == 0:
         n_grid += 1
-    return float(tau_max), int(n_grid)
-
-
-def _solve_grid(state: MarketState, params: ModelParams,
-                consts: DerivedConstants, q: QuadratureConfig
-                ) -> tuple[OdeSolution, PriceReport]:
-    """Refine (tau_max, n_grid) until tail and grid-error bounds hold."""
-    tau_max, n_grid = _resolve_grid(params, q)
 
     while True:
         if n_grid > MAX_NODES:
@@ -166,7 +158,8 @@ def _solve_grid(state: MarketState, params: ModelParams,
                                  tau_max=tau_max, n_grid=n_grid))
         f = np.empty((2, n_grid))
         _x_part(state.x, sol, params, consts, f)
-        integ = f[0] * _u_part([state.u], sol, consts)[0]
+        g = _u_part([state.u], sol, consts)[0]
+        integ = f[0] * g
         if not np.all(np.isfinite(integ)):
             raise DivergentIntegralError(
                 f"integrand not finite at x={state.x:.6g}, u={state.u:.6g}")
@@ -194,12 +187,15 @@ def _solve_grid(state: MarketState, params: ModelParams,
         need_tau = tail > q.rel_tol * scale
         need_grid = grid_err > q.rel_tol * scale
         if not need_tau and not need_grid:
+            s_x = float((f[1] * g) @ w)
+            if not math.isfinite(s_x):
+                raise DivergentIntegralError("stock slope not finite")
             sign_change = bool(np.any(integ[:-1] * integ[1:] < 0.0))
             report = PriceReport(stock=float(total), integrand_tail=float(tail),
                                  grid_error=float(grid_err),
                                  tau_max=float(tau_max), n_grid=int(n_grid),
                                  factor_sign_change=sign_change)
-            return sol, report
+            return sol, report, s_x
 
         if need_tau:
             # jump the horizon using the measured decay rate
@@ -212,12 +208,10 @@ def _solve_grid(state: MarketState, params: ModelParams,
 
 
 def stock_price(state: MarketState, params: ModelParams,
-                consts: DerivedConstants, q: QuadratureConfig | None = None
-                ) -> PriceReport:
+                consts: DerivedConstants,
+                q: QuadratureConfig = QuadratureConfig()) -> PriceReport:
     """Stock price with a-posteriori truncation and grid error estimates."""
-    q = q or QuadratureConfig()
-    _, report = _solve_grid(state, params, consts, q)
-    return report
+    return _solve_grid(state, params, consts, q)[1]
 
 
 def bond_price(state: MarketState, tau: float, params: ModelParams,
@@ -237,60 +231,66 @@ def bond_price(state: MarketState, tau: float, params: ModelParams,
     sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
                              tau_max=tau, n_grid=2))
     x, u = state.x, state.u
-    expo = ((0.5 * sol.a_vals[-1] - consts.spd_quad) * x * x
-            + (sol.b_vals[-1] - consts.spd_lin) * x + sol.c_vals[-1]
-            - params.rho * tau - (1.0 - math.exp(-consts.lam * tau)) * u)
-    return float(np.exp(expo))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = ((0.5 * sol.a_vals[-1] - consts.spd_quad) * x * x
+                + (sol.b_vals[-1] - consts.spd_lin) * x + sol.c_vals[-1]
+                - params.rho * tau - (1.0 - math.exp(-consts.lam * tau)) * u)
+        price = float(np.exp(expo))
+    if not math.isfinite(price):
+        raise DivergentIntegralError(f"bond price not finite at tau={tau:.6g}")
+    return price
 
 
 def volatility(state: MarketState, params: ModelParams,
-               consts: DerivedConstants, q: QuadratureConfig | None = None
-               ) -> float:
+               consts: DerivedConstants,
+               q: QuadratureConfig = QuadratureConfig()) -> float:
     """Instantaneous stock volatility h_x / h, with the closed-form slope
     on the grid refined for the state."""
-    q = q or QuadratureConfig()
-    sol, _ = _solve_grid(state, params, consts, q)
-    s, s_x = _stock_and_slope(np.array([state.x]), np.array([state.u]), sol,
-                              params, consts)
-    return float(s_x[0, 0] / s[0, 0])
+    _, report, s_x = _solve_grid(state, params, consts, q)
+    return s_x / report.stock
+
+
+def _median_grid(xs, us, params: ModelParams, consts: DerivedConstants,
+                 q: QuadratureConfig
+                 ) -> tuple[np.ndarray, np.ndarray, OdeSolution]:
+    """xs and us as 1-d arrays and the grid solved at their median state;
+    MarketState checks every state on the axes through the extreme ones."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    if xs.size == 0 or us.size == 0:
+        raise InvalidParamsError("need at least one x and one u")
+    MarketState(float(np.min(xs)), float(np.min(us)))
+    MarketState(float(np.max(xs)), float(np.max(us)))
+    mid = MarketState(float(np.median(xs)), float(np.median(us)))
+    return xs, us, _solve_grid(mid, params, consts, q)[0]
 
 
 def volatility_grid(xs, us, params: ModelParams, consts: DerivedConstants,
-                    q: QuadratureConfig | None = None) -> np.ndarray:
+                    q: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
     """h_x / h on the outer product of xs and us, sharing one solution grid.
 
     Returns an (len(xs), len(us)) array.  The grid is refined for the
     median state; h_x is the closed-form x-derivative of the integrand
     on that grid, so no state is bumped.
     """
-    q = q or QuadratureConfig()
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    if xs.size == 0 or us.size == 0:
-        raise InvalidParamsError("volatility_grid needs at least one x and u")
-    mid = MarketState(float(np.median(xs)), float(np.median(us)))
-    sol, _ = _solve_grid(mid, params, consts, q)
+    xs, us, sol = _median_grid(xs, us, params, consts, q)
     s, s_x = _stock_and_slope(xs, us, sol, params, consts)
     return s_x / s
 
 
 def drift_star(state: MarketState, a_star: float, params: ModelParams,
-               consts: DerivedConstants, q: QuadratureConfig | None = None
-               ) -> float:
+               consts: DerivedConstants,
+               q: QuadratureConfig = QuadratureConfig()) -> float:
     """Expected stock return under the measure with true reversion level
     a_star: [r h - delta + (lam a_star - 2 spd_quad x - spd_lin) h_x] / h."""
-    q = q or QuadratureConfig()
-    sol, _ = _solve_grid(state, params, consts, q)
-    s, s_x = _stock_and_slope(np.array([state.x]), np.array([state.u]), sol,
-                              params, consts)
-    h, h_x = s[0, 0], s_x[0, 0]
-    r = short_rate(state, consts)
+    _, report, h_x = _solve_grid(state, params, consts, q)
+    h, r = report.stock, short_rate(state, consts)
     risk_coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
     return float((r * h - dividend(state.x, params) + risk_coef * h_x) / h)
 
 
 def pde_residual(xs, us, params: ModelParams, consts: DerivedConstants,
-                 q: QuadratureConfig | None = None,
+                 q: QuadratureConfig = QuadratureConfig(),
                  dx: float = 1e-3, du: float = 1e-3) -> float:
     """Max scaled residual of the pricing PDE over the (xs, us) grid.
 
@@ -300,12 +300,8 @@ def pde_residual(xs, us, params: ModelParams, consts: DerivedConstants,
     (xs, xs + dx, xs - dx) x (us, us + du, us - du) from one evaluator
     call and ignore its closed-form slope, so they check it independently.
     """
-    q = q or QuadratureConfig()
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
+    xs, us, sol = _median_grid(xs, us, params, consts, q)
     nx, nu = xs.size, us.size
-    mid = MarketState(float(np.median(xs)), float(np.median(us)))
-    sol, _ = _solve_grid(mid, params, consts, q)
 
     s, _ = _stock_and_slope(np.concatenate([xs, xs + dx, xs - dx]),
                             np.concatenate([us, us + du, us - du]),

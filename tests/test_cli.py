@@ -18,6 +18,23 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_fresh(argv):
+    # a fresh interpreter with numpy's default error handling, so that any
+    # RuntimeWarning reaches stderr
+    src = str(Path(dynastyprice.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            f"from dynastyprice.cli import main; sys.exit(main({argv!r}))")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+
+
+def assert_one_stderr_line(run, code, prefix):
+    assert run.returncode == code
+    assert run.stdout == ""
+    assert run.stderr.startswith(prefix)
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+
+
 def test_price_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "price")
     lines = out.strip().splitlines()
@@ -160,6 +177,14 @@ def test_seed_precedence(monkeypatch):
     assert load_config(args)["seed"] == 12345
 
 
+def test_negative_env_seed_exits_config(monkeypatch, capsys):
+    # numpy's seed sequences take no negative entropy
+    monkeypatch.setenv("DYNASTY_SEED", "-1")
+    code, out, err = run_cli(capsys, "validate", "--suite", "bessel")
+    assert code == 2
+    assert out == "" and err.startswith("config error: ")
+
+
 def test_csv_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "--param", "gamma_agg", "--from", "0.4", "--to",
@@ -203,6 +228,10 @@ def test_run_sweep_lambda_recomputes_u():
     ["calibrate", "--lam", "0.4"],
     ["calibrate", "--target-rate", "inf"],
     ["calibrate", "--rho", "nan"],
+    ["volsurf", "--u-from", "-1", "--u-to", "1", "--u-steps", "2",
+     "--x-steps", "1"],
+    ["validate", "--suite", "bessel", "--seed", "-1"],
+    ["validate", "--suite", "bessel", "--set", "seed=-1"],
 ], ids=" ".join)
 def test_bad_input_exits_config(capsys, argv):
     # non-finite values and empty grids are config errors, whether the
@@ -235,32 +264,26 @@ def test_overflowing_state_exits_numerical(capsys, argv):
     ["price", "--set", "x=1e200"],
     ["volsurf", "--x-from", "1e200", "--x-to", "1e200", "--x-steps", "1",
      "--u-steps", "1"],
+    ["price", "--set", "epsilon=1e300"],
+    ["price", "--set", "alpha_mean=1e200"],
+    ["rate", "--set", "x=1e200"],
+    ["bond", "--tau", "1", "--set", "x=1e200"],
 ], ids=" ".join)
 def test_overflowing_state_prints_one_stderr_line(argv):
-    # a fresh interpreter with numpy's default error handling: the failure
-    # is reported on one line, without RuntimeWarnings ahead of it
-    src = str(Path(dynastyprice.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); "
-            f"from dynastyprice.cli import main; sys.exit(main({argv!r}))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert run.returncode == 3
-    assert run.stdout == ""
-    assert run.stderr.startswith("numerical failure: ")
-    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+    # the failure is reported on one line, without RuntimeWarnings ahead
+    # of it, and a non-finite result is never printed as a success
+    assert_one_stderr_line(run_fresh(argv), 3, "numerical failure: ")
+
+
+def test_volsurf_infinite_axis_end_prints_one_stderr_line():
+    # checked before linspace, which would warn on the infinite step
+    argv = ["volsurf", "--u-to", "inf", "--x-steps", "2", "--u-steps", "2"]
+    assert_one_stderr_line(run_fresh(argv), 2, "config error: ")
 
 
 def test_validate_age_past_path_exits_numerical():
     # at population 100,000 seed 996 samples a dynasty age beyond the
     # 10-unit burn-in path: a numerical failure on one stderr line, not a
     # traceback with the exit code of a failed check
-    src = str(Path(dynastyprice.__file__).resolve().parents[1])
     argv = ["validate", "--suite", "aggregation", "--seed", "996"]
-    code = (f"import sys; sys.path.insert(0, {src!r}); "
-            f"from dynastyprice.cli import main; sys.exit(main({argv!r}))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert run.returncode == 3
-    assert run.stdout == ""
-    assert run.stderr.startswith("numerical failure: ")
-    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+    assert_one_stderr_line(run_fresh(argv), 3, "numerical failure: ")

@@ -107,15 +107,6 @@ def test_param_validation():
         MarketState(0.0, -0.1)
 
 
-def test_dividend_positivity_flag():
-    bad = dict(a0=0.2, a1=1.0, a2=1.0, lam=2, rho=0.04, epsilon=1,
-               gamma_agg=0.49, alpha_mean=2.01)
-    ModelParams(**bad)  # not enforced by default
-    with pytest.raises(InvalidParamsError):
-        ModelParams(**bad, require_positive_dividend=True)
-    ModelParams(**{**bad, "a0": 0.25}, require_positive_dividend=True)
-
-
 def test_age_norm_range_across_params():
     # age_norm in (0, 1/epsilon] whenever lam * epsilon >= 1
     for lam in (0.5, 1.0, 2.0, 7.0):

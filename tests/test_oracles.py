@@ -10,6 +10,7 @@ from dynastyprice import (MarketState, OdeInputs, OracleConfig,
                           derive_constants, dividend, log_zeta,
                           martingale_check, mc_stock, mc_v, simulate,
                           xi_eta_check)
+from dynastyprice import oracles
 from dynastyprice.calibration import build_defaults
 from dynastyprice.model import InvalidParamsError, log_zeta_xu
 from dynastyprice.ou import SimConfig, SimPath, philox_stream, step_consts
@@ -186,6 +187,21 @@ def test_aggregation_requires_burn_in(defaults):
     cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=2.0, horizon=1.0, seed=1)
     with pytest.raises(InvalidParamsError):
         aggregation_check(params, consts, cfg, 100)
+
+
+def test_aggregation_rejects_burn_in_short_for_population(defaults,
+                                                        monkeypatch):
+    # at lam = 2 a burn-in of 5 (= 10/lam) leaves about 19.7 of 100,000
+    # sampled ages past the path; reject before simulating it
+    params, _, consts = defaults
+    cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulated a path for a rejected config")
+
+    monkeypatch.setattr(oracles, "simulate", unreachable)
+    with pytest.raises(InvalidParamsError):
+        aggregation_check(params, consts, cfg, 100_000)
 
 
 def test_martingale_degenerate(defaults):

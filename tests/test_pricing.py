@@ -165,7 +165,7 @@ def test_volatility_grid_matches_richardson_slope(defaults, over):
         warnings.simplefilter("error")
         grid = volatility_grid(xs, us, params, consts)
     mid = MarketState(float(np.median(xs)), float(np.median(us)))
-    sol, _ = _solve_grid(mid, params, consts, QuadratureConfig())
+    sol = _solve_grid(mid, params, consts, QuadratureConfig())[0]
     want = np.array([[_richardson_slope(x, u, sol, params, consts)
                       / _stock_at(x, u, sol, params, consts)
                       for u in us] for x in xs])
@@ -180,7 +180,7 @@ def test_volatility_and_drift_match_richardson_slope(defaults, over):
     params = replace(defaults[0], **over)
     consts = derive_constants(params)
     state, a_star = MarketState(1.6, 7.5), 2.2
-    sol, _ = _solve_grid(state, params, consts, QuadratureConfig())
+    sol = _solve_grid(state, params, consts, QuadratureConfig())[0]
     h = _stock_at(state.x, state.u, sol, params, consts)
     h_x = _richardson_slope(state.x, state.u, sol, params, consts)
     coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
@@ -197,6 +197,18 @@ def test_volatility_grid_rejects_empty_axis(defaults):
     for xs, us in (([], [5.0]), ([1.5], [])):
         with pytest.raises(InvalidParamsError):
             volatility_grid(xs, us, params, consts)
+
+
+@pytest.mark.parametrize("fn", [volatility_grid, pde_residual],
+                         ids=["volatility_grid", "pde_residual"])
+def test_every_state_on_the_axes_is_validated(defaults, fn):
+    # the grid is solved at the median state, which can be valid while
+    # another state on the axes is not
+    params, _, consts = defaults
+    for xs, us in (([2.0], [-0.5, 1.0]), ([1.5, 1.55, np.inf], [1.0]),
+                   ([1.5, np.nan, 1.6], [1.0]), ([1.5], [1.0, np.inf, 2.0])):
+        with pytest.raises(InvalidParamsError):
+            fn(xs, us, params, consts)
 
 
 def test_surface_memory_independent_of_x_count(defaults):
@@ -241,7 +253,7 @@ def test_drift_decomposition(defaults):
     params, state, consts = defaults
     a_star = 2.01
     mu = drift_star(state, a_star, params, consts)
-    sol, _ = _solve_grid(state, params, consts, QuadratureConfig())
+    sol = _solve_grid(state, params, consts, QuadratureConfig())[0]
     s, s_x = _stock_and_slope(np.array([state.x]), np.array([state.u]), sol,
                               params, consts)
     h, h_x = s[0, 0], s_x[0, 0]
@@ -257,9 +269,11 @@ def test_drift_against_one_step_simulation(defaults):
     params, state, consts = defaults
     a_star = 2.2
     lam, dt = params.lam, 1e-3
-    q = QuadratureConfig(tau_max=150.0, rel_tol=1e-3)
-    mu = drift_star(state, a_star, params, consts, q)
-    sol, rep = _solve_grid(state, params, consts, q)
+    mu = drift_star(state, a_star, params, consts,
+                    QuadratureConfig(rel_tol=1e-3))
+    sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                             tau_max=150.0, n_grid=30_001))
+    s0 = _stock_at(state.x, state.u, sol, params, consts)
 
     n = 20_000
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(717)))
@@ -282,9 +296,9 @@ def test_drift_against_one_step_simulation(defaults):
     # control variate: remove the h_x (X - E X) fluctuation, mean known = 0
     h_x = _richardson_slope(state.x, state.u, sol, params, consts)
     mean_x1 = a_star + (state.x - a_star) * decay
-    y = (s1 - rep.stock) / dt - h_x * (x1 - mean_x1) / dt
+    y = (s1 - s0) / dt - h_x * (x1 - mean_x1) / dt
     se = y.std(ddof=1) / math.sqrt(n)
-    assert abs(y.mean() - mu * rep.stock) < 3 * se
+    assert abs(y.mean() - mu * s0) < 3 * se
 
 
 # ---------------------------------------------------------------- pde
@@ -307,7 +321,7 @@ def test_pde_residual_memory_bounded(defaults):
     xs = np.linspace(state.x - 0.1, state.x + 0.1, 3)
     us = np.linspace(state.u - 0.1, state.u + 0.1, 3)
     mid = MarketState(float(np.median(xs)), float(np.median(us)))
-    sol, _ = _solve_grid(mid, params, consts, QuadratureConfig())
+    sol = _solve_grid(mid, params, consts, QuadratureConfig())[0]
     tracemalloc.start()
     try:
         pde_residual(xs, us, params, consts)
@@ -322,7 +336,7 @@ def test_pde_u_direction_semi_analytic(defaults):
     # centred h_u against the exact weighted integral
     params, state, consts = defaults
     q = QuadratureConfig()
-    sol, _ = _solve_grid(state, params, consts, q)
+    sol = _solve_grid(state, params, consts, q)[0]
     f = np.empty((2, sol.taus.size))
     _x_part(state.x, sol, params, consts, f)
     integ = f[0] * _u_part([state.u], sol, consts)[0]
