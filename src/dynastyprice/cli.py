@@ -182,6 +182,8 @@ def run_sweep(param: str, lo: float, hi: float, steps: int, cfg: dict,
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
+    if not np.all(np.isfinite((lo, hi))):
+        raise ConfigError("sweep ends must be finite")
     values = np.linspace(lo, hi, steps)
     rows = []
     for v in values:

@@ -8,9 +8,16 @@ substream per path in the path factory), so a fixed seed reproduces
 results bitwise.  The forward simulations step (X, U) only through
 ``ou.advance``, with U_t = (A/2) int lam e^{lam (s-t)} X_s^2 ds carried
 by a decaying recursion, so no weight e^{lam t} overflows at large
-lam T.  The path checks (xi_eta_check, aggregation_check) read stationary
-mean-zero X paths and build W from one X row at a time (``ou.w_row``),
-so beyond the X array they hold only O(n_steps) temporaries.
+lam T.  At an even path count ``ou.advance`` pairs the paths along axis
+0 (rows h.. take the negated shocks of rows ..h), and ``_mean_se`` takes
+the standard error from the h pair means; an odd count draws every path
+independently.  martingale_check continues all outer paths together as
+one (n_inner, n_outer) array, so each step is one time-major draw of
+(n_inner / 2, n_outer) normals.  The path checks (xi_eta_check,
+aggregation_check) read stationary mean-zero X paths and build W from one
+X row at a time (``ou.w_row``), so beyond the X array they hold only
+O(n_steps) temporaries; their window trapezoids are dot products of a
+row with the weights of ``_window_weights``.
 
 The stock oracle integrates the pathwise payoff over maturities out to a
 finite horizon and closes the integral with a geometric tail: once the
@@ -60,8 +67,11 @@ class OracleConfig:
             raise InvalidParamsError("n_paths >= 1 required")
         if not 0.0 < self.dt <= 1e-3 + 1e-15:
             raise InvalidParamsError("dt must lie in (0, 1e-3]")
+        model._require_finite(self, ("burn_in", "horizon"))
         if self.burn_in < 0.0 or self.horizon < 0.0:
             raise InvalidParamsError("burn_in and horizon must be nonnegative")
+        if self.seed < 0:
+            raise InvalidParamsError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,19 @@ class McEstimate:
     mean: float
     se: float
     tail: float = 0.0
+
+
+def _mean_se(values: np.ndarray):
+    """Mean and standard error along axis 0.  An even count holds the
+    antithetic pairs of ``ou.advance``: the SE is then that of the pair
+    means 0.5 (v[:h] + v[h:]).  One path or one pair gives SE 0."""
+    n = len(values)
+    if n % 2 == 0:
+        n //= 2
+        values = 0.5 * (values[:n] + values[n:])
+    se = (np.std(values, axis=0, ddof=1) / math.sqrt(n) if n > 1
+          else np.zeros(values.shape[1:]))
+    return np.mean(values, axis=0), se
 
 
 def mc_v(state: MarketState, t_horizon: float, theta: float,
@@ -82,6 +105,8 @@ def mc_v(state: MarketState, t_horizon: float, theta: float,
     by ``ou.advance`` from U_0 = 0.  The state's u plays no role: the
     transform depends on the factor level alone.
     """
+    if not 0.0 <= t_horizon < math.inf:
+        raise InvalidParamsError("t_horizon must be finite and nonnegative")
     n_steps = int(round(t_horizon / cfg.dt))
     xs = np.full(cfg.n_paths, float(state.x))
     xs, integral = advance(xs, 0.0, philox_stream(cfg.seed), n_steps,
@@ -91,10 +116,8 @@ def mc_v(state: MarketState, t_horizon: float, theta: float,
                + consts.spd_lin * xs + consts.spd_quad * xs * xs + integral)
     if float(np.max(log_pay)) > LOG_PAYOFF_CAP:
         raise OverflowGuardError(f"log payoff {np.max(log_pay):.1f} > 700")
-    pay = np.exp(log_pay)
-    se = 0.0 if cfg.n_paths == 1 else float(
-        np.std(pay, ddof=1) / math.sqrt(cfg.n_paths))
-    return McEstimate(mean=float(np.mean(pay)), se=se)
+    mean, se = _mean_se(np.exp(log_pay))
+    return McEstimate(mean=float(mean), se=float(se))
 
 
 def mc_stock(state: MarketState, params: ModelParams,
@@ -137,23 +160,20 @@ def mc_stock(state: MarketState, params: ModelParams,
             tail_count += 1
 
     tails = tail_acc / (tail_count * rho)
-    values = integral + tails
-    se = 0.0 if cfg.n_paths == 1 else float(
-        np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
-    return McEstimate(mean=float(np.mean(values)), se=se,
+    mean, se = _mean_se(integral + tails)
+    return McEstimate(mean=float(mean), se=float(se),
                       tail=float(np.mean(tails)))
 
 
-def _lag_weights(lam: float, dt: float, n_steps: int) -> np.ndarray:
-    """lam e^{-lam v} at the window lags v = 0, dt, ..., n_steps dt."""
-    return lam * np.exp(-lam * dt * np.arange(n_steps + 1))
-
-
-def _history(x: np.ndarray, wgt: np.ndarray, dt: float) -> float:
-    """Window trapezoid of lam e^{-lam v} X_{t-v}^2 for one path row ``x``
-    (oldest value first), ``wgt`` from _lag_weights."""
-    x_rev = x[::-1]
-    return float(np.trapezoid(x_rev * x_rev * wgt, dx=dt))
+def _window_weights(lam: float, dt: float, n_steps: int) -> np.ndarray:
+    """Trapezoid weights of lam e^{-lam v} dv over the window lags
+    v = n_steps dt, ..., dt, 0, in time order to match a path row (oldest
+    value first): the window integral of lam e^{-lam v} f_{t-v} is
+    f_row @ weights."""
+    wgt = lam * dt * np.exp(-lam * dt * np.arange(n_steps, -1, -1))
+    wgt[0] *= 0.5
+    wgt[-1] *= 0.5 if n_steps else 0.0     # a one-point window has no width
+    return wgt
 
 
 def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
@@ -166,21 +186,27 @@ def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
 
     and returns |xi_hat - X_t| and |eta_hat - (X_t^2 + H)| with H the
     same window's trapezoid of lam e^{-lam v} X_{t-v}^2, so truncation
-    cancels between the two sides up to e^{-lam T0}.
+    cancels between the two sides up to e^{-lam T0}.  With the window
+    weights c, sum C and W.c the dot product of the row with c, the
+    trapezoids expand to xi_hat = W_t C - W.c,
+    eta_hat = W_t^2 C - 2 W_t W.c + (W^2).c and H = (X^2).c.
     """
     dt = path.dt
-    wgt = _lag_weights(path.lam, dt, path.n_steps)
+    wgt = _window_weights(path.lam, dt, path.n_steps)
+    wgt_sum = float(np.sum(wgt))
     n_paths = path.xs.shape[0]
     xi_dev, eta_dev = np.empty(n_paths), np.empty(n_paths)
     ws = np.empty(path.n_steps + 1)
+    sq = np.empty_like(ws)
     for i in range(n_paths):
         x = path.xs[i]
         w_row(x, path.lam, dt, out=ws)
-        x_t = x[-1]
-        dw = ws[-1] - ws[::-1]
-        xi_hat = np.trapezoid(dw * wgt, dx=dt)
-        eta_hat = np.trapezoid(dw * dw * wgt, dx=dt)
-        hist = _history(x, wgt, dt)
+        x_t, w_t = x[-1], ws[-1]
+        w_c = ws @ wgt
+        xi_hat = w_t * wgt_sum - w_c
+        eta_hat = (w_t * w_t * wgt_sum - 2.0 * w_t * w_c
+                   + np.multiply(ws, ws, out=sq) @ wgt)
+        hist = np.multiply(x, x, out=sq) @ wgt
         xi_dev[i] = abs(xi_hat - x_t)
         eta_dev[i] = abs(eta_hat - (x_t * x_t + hist))
     return xi_dev, eta_dev
@@ -215,9 +241,9 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
     mean, se = aggregate_log_lambda(population_n, params, consts, path,
                                     seed=cfg.seed + 1, alpha_std=ALPHA_STD)
 
-    x_t = float(path.xs[0, -1])
-    eta = x_t * x_t + _history(path.xs[0], _lag_weights(lam, cfg.dt, n_steps),
-                               cfg.dt)
+    x = path.xs[0]
+    x_t = float(x[-1])
+    eta = x_t * x_t + float((x * x) @ _window_weights(lam, cfg.dt, n_steps))
     xi = x_t
 
     nodes, weights = laggauss(80)
@@ -269,14 +295,11 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
         x_outer, u_outer = advance(x_outer, 0.0, rng, n1, lam, dt, big_a)
         m1 = m_value(k, n1, x_outer, u_outer)
 
-        diffs = np.empty(n_outer)
-        errs = np.empty(n_outer)
-        for j in range(n_outer):
-            x_in, u_in = advance(np.full(n_inner, x_outer[j]), u_outer[j],
-                                 rng, n2, lam, dt, big_a)
-            m2 = m_value(k + 1, n1 + n2, x_in, u_in)
-            diffs[j] = np.mean(m2) - m1[j]
-            errs[j] = np.std(m2, ddof=1) / math.sqrt(n_inner)
+        # column j continues outer path j with n_inner inner paths
+        x_in, u_in = advance(np.tile(x_outer, (n_inner, 1)), u_outer, rng,
+                             n2, lam, dt, big_a)
+        mean2, errs = _mean_se(m_value(k + 1, n1 + n2, x_in, u_in))
+        diffs = mean2 - m1
         pooled = float(np.mean(diffs))
         pooled_se = float(np.sqrt(np.sum(errs ** 2)) / n_outer)
         # at large lam T, V and the U weight leave M deterministic over

@@ -22,7 +22,8 @@ O(n_paths * block) scratch for the recursion.
 
 W is a fixed function of an X row, so ``w_row`` builds it one row at a
 time on demand.  U exists only in ``advance``, which steps (X, U)
-forward without storing a path, for the Monte Carlo oracles.
+forward without storing a path, for the Monte Carlo oracles; at an even
+path count it draws antithetic pairs.
 """
 
 from __future__ import annotations
@@ -88,23 +89,34 @@ def step_consts(lam: float, dt: float) -> tuple[float, float]:
 def advance(x: np.ndarray, u, rng: np.random.Generator, n_steps: int,
             lam: float, dt: float,
             age_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Take ``n_steps`` exact mean-zero OU steps of ``x`` in place, one
-    draw of len(x) normals per step, and return (x, U).
+    """Take ``n_steps`` exact mean-zero OU steps of ``x`` in place and
+    return (x, U).
 
-    U starts from ``u`` (scalar or like ``x``) and follows the trapezoid
-    recursion U_k = d U_{k-1} + (age_norm lam dt / 4)(d X_{k-1}^2 + X_k^2)
+    Paths run along axis 0 of ``x`` (1-D, or 2-D with one column per
+    start).  When len(x) is even, rows h.. are the antithetic partners of
+    rows ..h, h = len(x) // 2: each step draws x[:h].size normals z
+    (C order, so a 2-D draw is time-major) and shocks the halves by +z
+    and -z.  When len(x) is odd, each step draws x.size normals.
+
+    U starts from ``u`` (scalar, or broadcastable to ``x``) and follows
+    the trapezoid recursion
+    U_k = d U_{k-1} + (age_norm lam dt / 4)(d X_{k-1}^2 + X_k^2)
     with d = e^{-lam dt}, summed as U_n = u d^n + (age_norm lam dt / 4) v_n
     with v_k = d (v_{k-1} + X_{k-1}^2) + X_k^2: no factor exceeds 1.
     """
     decay, sd = step_consts(lam, dt)
-    z = np.empty_like(x)
+    paired = len(x) % 2 == 0
+    h = len(x) // 2 if paired else len(x)
+    z = np.empty_like(x[:h])
     v = np.zeros_like(x)
     x2 = x * x
     for _ in range(n_steps):
         x *= decay
         rng.standard_normal(out=z)
         z *= sd
-        x += z
+        x[:h] += z
+        if paired:
+            x[h:] -= z
         v += x2
         v *= decay
         np.multiply(x, x, out=x2)

@@ -281,6 +281,13 @@ def test_volsurf_infinite_axis_end_prints_one_stderr_line():
     assert_one_stderr_line(run_fresh(argv), 2, "config error: ")
 
 
+def test_sweep_infinite_end_prints_one_stderr_line():
+    # checked before linspace, which would warn on the infinite step
+    argv = ["sweep", "--param", "rho", "--from", "0.02", "--to", "inf",
+            "--steps", "3"]
+    assert_one_stderr_line(run_fresh(argv), 2, "config error: ")
+
+
 def test_validate_age_past_path_exits_numerical():
     # at population 100,000 seed 996 samples a dynasty age beyond the
     # 10-unit burn-in path: a numerical failure on one stderr line, not a

@@ -13,7 +13,8 @@ from dynastyprice import (MarketState, OdeInputs, OracleConfig,
 from dynastyprice import oracles
 from dynastyprice.calibration import build_defaults
 from dynastyprice.model import InvalidParamsError, log_zeta_xu
-from dynastyprice.ou import SimConfig, SimPath, philox_stream, step_consts
+from dynastyprice.ou import (SimConfig, SimPath, philox_stream, step_consts,
+                             w_row)
 from dynastyprice.pricing import stock_price
 
 
@@ -60,6 +61,38 @@ def test_mc_v_se_scaling(defaults):
                OracleConfig(n_paths=40_000, dt=1e-3, burn_in=5.0,
                             horizon=1.0, seed=5))
     assert small.se / big.se == pytest.approx(math.sqrt(2.0), rel=0.1)
+
+
+def test_mc_v_one_pair_has_zero_se(defaults):
+    # two paths are one antithetic pair: one pair mean, no spread to report
+    params, state, consts = defaults
+    cfg = OracleConfig(n_paths=2, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
+    est = mc_v(state, 0.5, 0.0, params, consts, cfg)
+    assert est.se == 0.0
+    assert math.isfinite(est.mean)
+
+
+def test_mc_v_se_matches_spread_of_means(defaults):
+    # the SE from pair means is an honest error bar: over 200 seeds the
+    # rms error against the closed form matches the rms reported SE
+    params, state, consts = defaults
+    want = closed_v(0.1, 0.0, params, consts, state.x)
+    errs, ses = np.empty(200), np.empty(200)
+    for seed in range(200):
+        cfg = OracleConfig(n_paths=2_000, dt=1e-3, burn_in=5.0, horizon=1.0,
+                           seed=seed)
+        est = mc_v(state, 0.1, 0.0, params, consts, cfg)
+        errs[seed], ses[seed] = est.mean - want, est.se
+    ratio = math.sqrt(np.mean(errs ** 2) / np.mean(ses ** 2))
+    assert 0.8 <= ratio <= 1.25
+
+
+@pytest.mark.parametrize("t_horizon", [-0.3, math.nan, math.inf])
+def test_mc_v_rejects_bad_horizon(defaults, t_horizon):
+    params, state, consts = defaults
+    cfg = OracleConfig(n_paths=10, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
+    with pytest.raises(InvalidParamsError):
+        mc_v(state, t_horizon, 0.0, params, consts, cfg)
 
 
 def test_mc_v_overflow_guard(defaults):
@@ -146,6 +179,25 @@ def test_xi_eta_small_deviations(defaults):
     assert ed.mean() < 5e-3
 
 
+def test_xi_eta_matches_trapezoid_rule(defaults):
+    # the dot products regroup the three window trapezoids over the
+    # reversed lags: equal to them up to float64 round-off
+    params, _, consts = defaults
+    cfg = SimConfig(n_paths=5, n_steps=20_000, dt=5e-4, seed=12)
+    path = simulate(cfg, params, consts, t0=-10.0)
+    xd, ed = xi_eta_check(path)
+    lam, dt = path.lam, path.dt
+    wgt = lam * np.exp(-lam * dt * np.arange(path.n_steps + 1))
+    for i, x in enumerate(path.xs):
+        ws = w_row(x, lam, dt)
+        dw = ws[-1] - ws[::-1]
+        xi = np.trapezoid(dw * wgt, dx=dt)
+        eta = np.trapezoid(dw * dw * wgt, dx=dt)
+        hist = np.trapezoid(x[::-1] ** 2 * wgt, dx=dt)
+        assert abs(xd[i] - abs(xi - x[-1])) < 1e-12
+        assert abs(ed[i] - abs(eta - (x[-1] ** 2 + hist))) < 1e-12
+
+
 def test_xi_eta_memory_bounded(defaults):
     # one path row at a time: scratch is O(n_steps), not O(path array)
     params, _, consts = defaults
@@ -225,6 +277,16 @@ def test_oracle_config_validation():
         OracleConfig(n_paths=1, dt=2e-3, burn_in=1.0, horizon=1.0, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon", math.nan), ("horizon", math.inf), ("burn_in", math.nan),
+    ("burn_in", math.inf), ("seed", -1)])
+def test_oracle_config_rejects_non_finite_and_negative(field, value):
+    kw = dict(n_paths=10, dt=1e-3, burn_in=5.0, horizon=8.0, seed=1)
+    kw[field] = value
+    with pytest.raises(InvalidParamsError):
+        OracleConfig(**kw)
+
+
 def test_martingale_drift_small_with_tilt(defaults):
     params, _, consts = defaults
     cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=5.0, horizon=1.0, seed=77)
@@ -260,6 +322,20 @@ def test_martingale_past_exp_overflow(defaults):
 
 # --------------------------- the shared stepper against per-oracle step loops
 
+def _paired_normals(rng, shape):
+    """One step's shocks for an even count along axis 0: z for the first
+    half of the rows and -z for the second."""
+    z = rng.standard_normal((shape[0] // 2,) + tuple(shape[1:]))
+    return np.concatenate([z, -z])
+
+
+def _pair_se(values):
+    """SE along axis 0 from the means of the antithetic pairs."""
+    h = len(values) // 2
+    pairs = 0.5 * (values[:h] + values[h:])
+    return np.std(pairs, axis=0, ddof=1) / math.sqrt(h)
+
+
 def _loop_mc_v(state, t_horizon, theta, params, consts, cfg):
     """mc_v with its own e^{lam t}-weighted trapezoid of X^2."""
     lam, dt = consts.lam, cfg.dt
@@ -270,15 +346,14 @@ def _loop_mc_v(state, t_horizon, theta, params, consts, cfg):
     acc = np.zeros(cfg.n_paths)
     w_prev = 0.5 * dt * xs * xs
     for k in range(1, n_steps + 1):
-        xs = xs * decay + sd * rng.standard_normal(cfg.n_paths)
+        xs = xs * decay + sd * _paired_normals(rng, xs.shape)
         w_new = 0.5 * dt * math.exp(lam * k * dt) * xs * xs
         acc += w_prev + w_new
         w_prev = w_new
     integral = 0.5 * consts.age_norm * lam * math.exp(-lam * t_horizon) * acc
     pay = np.exp(theta * dividend(xs, params) + consts.spd_lin * xs
                  + consts.spd_quad * xs * xs + integral)
-    return float(np.mean(pay)), float(np.std(pay, ddof=1)
-                                      / math.sqrt(cfg.n_paths))
+    return float(np.mean(pay)), float(_pair_se(pay))
 
 
 def _loop_mc_stock(state, params, consts, cfg, t_sub=10, tail_window=5.0):
@@ -298,7 +373,7 @@ def _loop_mc_stock(state, params, consts, cfg, t_sub=10, tail_window=5.0):
     tail_count = 0
     x2_prev = xs * xs
     for k in range(1, n_steps + 1):
-        xs = xs * decay + sd * rng.standard_normal(cfg.n_paths)
+        xs = xs * decay + sd * _paired_normals(rng, xs.shape)
         x2 = xs * xs
         us = us * decay + half_w * (decay * x2_prev + x2)
         x2_prev = x2
@@ -312,13 +387,13 @@ def _loop_mc_stock(state, params, consts, cfg, t_sub=10, tail_window=5.0):
                 tail_acc += q * math.exp(rho * (t_now - horizon))
                 tail_count += 1
     values = integral + tail_acc / (tail_count * rho)
-    return float(np.mean(values)), float(np.std(values, ddof=1)
-                                         / math.sqrt(cfg.n_paths))
+    return float(np.mean(values)), float(_pair_se(values))
 
 
 def _loop_martingale(t_final, theta, params, consts, cfg, n_outer, n_inner):
     """martingale_check with e^{lam t}-weighted trapezoids and V
-    interpolated on a (T/dt + 1)-node grid."""
+    interpolated on a (T/dt + 1)-node grid; the inner paths of every outer
+    path step together as one (n_inner, n_outer) array."""
     lam, dt = consts.lam, cfg.dt
     rng = philox_stream(cfg.seed)
     decay, sd = step_consts(lam, dt)
@@ -343,24 +418,22 @@ def _loop_martingale(t_final, theta, params, consts, cfg, n_outer, n_inner):
         j_outer = np.zeros(n_outer)
         w_prev = 0.5 * dt * x_outer ** 2
         for i in range(1, n1 + 1):
-            x_outer = x_outer * decay + sd * rng.standard_normal(n_outer)
+            x_outer = x_outer * decay + sd * _paired_normals(rng, (n_outer,))
             w_new = 0.5 * dt * math.exp(lam * i * dt) * x_outer ** 2
             j_outer += w_prev + w_new
             w_prev = w_new
         m1 = v_closed(t1, x_outer) * np.exp(amp * j_outer)
-        diffs, errs = np.empty(n_outer), np.empty(n_outer)
-        for j in range(n_outer):
-            x_in = np.full(n_inner, x_outer[j])
-            j_in = np.zeros(n_inner)
-            w_prev_in = 0.5 * dt * math.exp(lam * n1 * dt) * x_in ** 2
-            for i in range(n1 + 1, n1 + n2 + 1):
-                x_in = x_in * decay + sd * rng.standard_normal(n_inner)
-                w_new = 0.5 * dt * math.exp(lam * i * dt) * x_in ** 2
-                j_in += w_prev_in + w_new
-                w_prev_in = w_new
-            m2 = v_closed(t2, x_in) * np.exp(amp * (j_outer[j] + j_in))
-            diffs[j] = np.mean(m2) - m1[j]
-            errs[j] = np.std(m2, ddof=1) / math.sqrt(n_inner)
+        x_in = np.tile(x_outer, (n_inner, 1))
+        j_in = np.zeros((n_inner, n_outer))
+        w_prev_in = 0.5 * dt * math.exp(lam * n1 * dt) * x_in ** 2
+        for i in range(n1 + 1, n1 + n2 + 1):
+            x_in = x_in * decay + sd * _paired_normals(rng, x_in.shape)
+            w_new = 0.5 * dt * math.exp(lam * i * dt) * x_in ** 2
+            j_in += w_prev_in + w_new
+            w_prev_in = w_new
+        m2 = v_closed(t2, x_in) * np.exp(amp * (j_outer + j_in))
+        diffs = np.mean(m2, axis=0) - m1
+        errs = _pair_se(m2)
         pooled_se = float(np.sqrt(np.sum(errs ** 2)) / n_outer)
         worst = max(worst, abs(float(np.mean(diffs)) / pooled_se))
     return worst

@@ -190,3 +190,66 @@ def test_simulate_holds_one_path_array(defaults):
 def test_sim_config_rejects_non_finite_dt(dt):
     with pytest.raises(InvalidParamsError):
         SimConfig(n_paths=2, n_steps=3, dt=dt, seed=1)
+
+
+# ------------------------------------------------ antithetic pairs in advance
+
+def test_advance_pairs_mirror_from_zero():
+    # from x = 0 one step is the shock alone: rows h.. mirror rows ..h
+    x, _ = advance(np.zeros(6), 0.0, philox_stream(3), 1, 2.0, 1e-3, 1.0)
+    assert np.array_equal(x[:3], -x[3:])
+    assert np.all(x != 0.0)
+
+
+def _unpaired_advance(x, u, rng, n_steps, lam, dt, age_norm):
+    """Reference: one draw of len(x) normals per step, no pairs."""
+    decay, sd = step_consts(lam, dt)
+    v = np.zeros_like(x)
+    x2 = x * x
+    for _ in range(n_steps):
+        x *= decay
+        z = rng.standard_normal(len(x))
+        z *= sd
+        x += z
+        v += x2
+        v *= decay
+        np.multiply(x, x, out=x2)
+        v += x2
+    return x, u * decay ** n_steps + 0.25 * age_norm * lam * dt * v
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_advance_odd_count_draws_unpaired(n):
+    x0 = np.linspace(-1.0, 1.0, n)
+    got = advance(x0.copy(), 0.3, philox_stream(11), 40, 2.0, 1e-3, 1.5)
+    want = _unpaired_advance(x0.copy(), 0.3, philox_stream(11), 40, 2.0,
+                             1e-3, 1.5)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+class _Replay:
+    """Stands in for a Generator: hands out prerecorded normals."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def standard_normal(self, out):
+        out[...] = next(self._draws)
+        return out
+
+
+def test_advance_columns_match_one_dimensional_calls():
+    # a 2-D call steps column j as a 1-D call from that column's start,
+    # fed the column of each step's (h, n_cols) time-major draw
+    n_rows, n_cols, n_steps = 6, 4, 25
+    starts = np.linspace(-0.5, 0.5, n_cols)
+    u0 = np.linspace(0.0, 0.3, n_cols)
+    blocks = philox_stream(21).standard_normal((n_steps, n_rows // 2, n_cols))
+    xs, us = advance(np.tile(starts, (n_rows, 1)), u0, philox_stream(21),
+                     n_steps, 2.0, 1e-3, 1.5)
+    for j in range(n_cols):
+        x, u = advance(np.full(n_rows, starts[j]), u0[j],
+                       _Replay(blocks[:, :, j]), n_steps, 2.0, 1e-3, 1.5)
+        assert np.array_equal(xs[:, j], x)
+        assert np.array_equal(us[:, j], u)
