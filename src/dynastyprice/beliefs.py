@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DerivedConstants, InvalidParamsError, ModelParams
-from .ou import SimPath, philox_stream, w_row
+from .ou import SimPath, substream, w_row
 
 
 class AgeExceedsPathError(RuntimeError):
@@ -93,7 +93,10 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
     """
     if shared_path.xs.shape[0] != 1:
         raise ValueError("shared_path must hold a single trajectory")
-    rng = philox_stream(seed)
+    if population_size < 2:
+        raise InvalidParamsError("population_size >= 2 required (a standard "
+                                 "error needs two dynasties)")
+    rng = substream(seed)
 
     window = shared_path.n_steps * shared_path.dt
     ages = sample_age(params.epsilon, params.lam, rng, population_size)

@@ -2,22 +2,25 @@
 
 Every oracle reports (estimate, standard error), never a bare point
 estimate; acceptance comparisons are made in standard-error units.  All
-estimators run serially over a fixed draw order (time-major for the
+draws come from ``ou.substream`` (SFC64 keyed by a SeedSequence), and
+all estimators run serially over a fixed draw order (time-major for the
 forward simulations in mc_v, mc_stock and martingale_check, one spawned
 substream per path in the path factory), so a fixed seed reproduces
 results bitwise.  The forward simulations step (X, U) only through
-``ou.advance``, with U_t = (A/2) int lam e^{lam (s-t)} X_s^2 ds carried
-by a decaying recursion, so no weight e^{lam t} overflows at large
-lam T.  At an even path count ``ou.advance`` pairs the paths along axis
-0 (rows h.. take the negated shocks of rows ..h), and ``_mean_se`` takes
-the standard error from the h pair means; an odd count draws every path
-independently.  martingale_check continues all outer paths together as
-one (n_inner, n_outer) array, so each step is one time-major draw of
+``ou.advance``, which steps in shock units X / sd and carries
+U_t = (A/2) int lam e^{lam (s-t)} X_s^2 ds by a decaying recursion, so
+no weight e^{lam t} overflows at large lam T.  At an even path count
+``ou.advance`` pairs the paths along axis 0 (rows h.. take the negated
+shocks of rows ..h), and ``_mean_se`` takes the standard error from the
+h pair means; an odd count draws every path independently.
+martingale_check continues all outer paths together as one
+(n_inner, n_outer) array, so each step is one time-major draw of
 (n_inner / 2, n_outer) normals.  The path checks (xi_eta_check,
 aggregation_check) read stationary mean-zero X paths and build W from one
-X row at a time (``ou.w_row``), so beyond the X array they hold only
-O(n_steps) temporaries; their window trapezoids are dot products of a
-row with the weights of ``_window_weights``.
+X row at a time (``ou.w_row``, one cumulative sum of the row written in
+place), so beyond the X array they hold only O(n_steps) scratch; their
+window trapezoids are dot products of a row with the weights of
+``_window_weights``.
 
 The stock oracle integrates the pathwise payoff over maturities out to a
 finite horizon and closes the integral with a geometric tail: once the
@@ -40,8 +43,8 @@ from . import model
 from .beliefs import aggregate_log_lambda
 from .model import DerivedConstants, InvalidParamsError, MarketState, ModelParams
 from .odes import OdeInputs, abc_eval
-from .ou import (SimConfig, SimPath, advance, philox_stream,
-                 sample_stationary, simulate, w_row)
+from .ou import (SimConfig, SimPath, advance, sample_stationary,
+                 simulate, substream, w_row)
 
 LOG_PAYOFF_CAP = 700.0
 T_SUB = 10              # mc_stock: OU steps per maturity-grid interval
@@ -107,9 +110,11 @@ def mc_v(state: MarketState, t_horizon: float, theta: float,
     """
     if not 0.0 <= t_horizon < math.inf:
         raise InvalidParamsError("t_horizon must be finite and nonnegative")
+    if not math.isfinite(theta):
+        raise InvalidParamsError("theta must be finite")
     n_steps = int(round(t_horizon / cfg.dt))
     xs = np.full(cfg.n_paths, float(state.x))
-    xs, integral = advance(xs, 0.0, philox_stream(cfg.seed), n_steps,
+    xs, integral = advance(xs, 0.0, substream(cfg.seed), n_steps,
                            consts.lam, cfg.dt, consts.age_norm)
 
     log_pay = (theta * model.dividend(xs, params)
@@ -135,7 +140,7 @@ def mc_stock(state: MarketState, params: ModelParams,
     if horizon <= TAIL_WINDOW:
         raise InvalidParamsError(f"horizon must exceed {TAIL_WINDOW}")
     big_dt = T_SUB * dt
-    rng = philox_stream(cfg.seed)
+    rng = substream(cfg.seed)
 
     xs = np.full(cfg.n_paths, float(state.x))
     us = np.full(cfg.n_paths, float(state.u))
@@ -270,11 +275,19 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
     inner paths continue from it to estimate the conditional mean of the
     next checkpoint value; the pooled discrepancy is reported in
     standard-error units (worst increment).  Returns exactly 0 for T = 0.
+    Any other T must be finite and at least 3 dt, so that every increment
+    takes a step, and the inner paths must be at least 3 (at 2, one
+    antithetic pair) so that each conditional mean has a standard error.
     """
+    if n_outer < 1 or n_inner < 3:
+        raise InvalidParamsError("n_outer >= 1 and n_inner >= 3 required")
     if t_final == 0.0:
         return 0.0
     lam, dt, big_a = consts.lam, cfg.dt, consts.age_norm
-    rng = philox_stream(cfg.seed)
+    if not 3.0 * dt <= t_final < math.inf:
+        raise InvalidParamsError(
+            f"t_final must be 0 or finite and at least 3 dt = {3.0 * dt:g}")
+    rng = substream(cfg.seed)
     # a, b, c at tau = T - k T/3 sit in column 3 - k
     sol = abc_eval(OdeInputs(theta=theta, params=params, consts=consts,
                              tau_max=t_final, n_grid=4))

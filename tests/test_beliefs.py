@@ -7,6 +7,7 @@ from dynastyprice import (BeliefInput, InvalidParamsError, SimConfig,
 from dynastyprice.beliefs import (AgeExceedsPathError, aggregate_log_lambda,
                                   log_lambda_density)
 from dynastyprice.calibration import build_defaults
+from dynastyprice.ou import substream
 
 
 def gauss_hermite_lambda(dw, dt, alpha, eps, n_nodes=80):
@@ -122,7 +123,7 @@ def test_aggregate_constant_path():
     mean, se = aggregate_log_lambda(50_000, params, consts, flat, seed=11,
                                     alpha_std=0.0)
     # log Lambda = (1/2) log(eps/(eps+u)) - eps alpha^2 u / (2 (eps+u))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
+    rng = substream(11)
     ages = sample_age(params.epsilon, params.lam, rng, 50_000)
     eps, al = params.epsilon, params.alpha_mean
     want = np.mean(0.5 * np.log(eps / (eps + ages))

@@ -13,7 +13,7 @@ from dynastyprice import (MarketState, OdeInputs, OracleConfig,
 from dynastyprice import oracles
 from dynastyprice.calibration import build_defaults
 from dynastyprice.model import InvalidParamsError, log_zeta_xu
-from dynastyprice.ou import (SimConfig, SimPath, philox_stream, step_consts,
+from dynastyprice.ou import (SimConfig, SimPath, step_consts, substream,
                              w_row)
 from dynastyprice.pricing import stock_price
 
@@ -93,6 +93,15 @@ def test_mc_v_rejects_bad_horizon(defaults, t_horizon):
     cfg = OracleConfig(n_paths=10, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
     with pytest.raises(InvalidParamsError):
         mc_v(state, t_horizon, 0.0, params, consts, cfg)
+
+
+@pytest.mark.parametrize("theta", [math.nan, -math.inf])
+def test_mc_v_rejects_non_finite_theta(defaults, theta):
+    # a NaN theta used to come back as McEstimate(nan, nan)
+    params, state, consts = defaults
+    cfg = OracleConfig(n_paths=10, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
+    with pytest.raises(InvalidParamsError):
+        mc_v(state, 0.5, theta, params, consts, cfg)
 
 
 def test_mc_v_overflow_guard(defaults):
@@ -256,6 +265,16 @@ def test_aggregation_rejects_burn_in_short_for_population(defaults,
         aggregation_check(params, consts, cfg, 100_000)
 
 
+@pytest.mark.parametrize("population_n", [1, 0, -5])
+def test_aggregation_rejects_population_below_two(defaults, population_n):
+    # checked in aggregate_log_lambda: one dynasty gave SE nan with two
+    # numpy warnings, 0 and -5 a numpy ValueError
+    params, _, consts = defaults
+    cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=10.0, horizon=1.0, seed=1)
+    with pytest.raises(InvalidParamsError):
+        aggregation_check(params, consts, cfg, population_n)
+
+
 def test_martingale_degenerate(defaults):
     params, _, consts = defaults
     cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
@@ -268,6 +287,26 @@ def test_martingale_drift_small(defaults):
     worst = martingale_check(0.5, 0.0, params, consts, cfg,
                              n_outer=40, n_inner=400)
     assert worst < 3.5
+
+
+@pytest.mark.parametrize("t_final", [math.inf, 1e-9, 2.5e-3])
+def test_martingale_rejects_bad_t_final(defaults, t_final):
+    # below 3 dt some increment takes no step and has no standard error
+    params, _, consts = defaults
+    cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
+    with pytest.raises(InvalidParamsError):
+        martingale_check(t_final, 0.0, params, consts, cfg,
+                         n_outer=10, n_inner=20)
+
+
+@pytest.mark.parametrize("n_outer, n_inner", [(0, 20), (10, 1), (10, 2)])
+def test_martingale_rejects_too_few_paths(defaults, n_outer, n_inner):
+    # two inner paths are one antithetic pair: no spread, no standard error
+    params, _, consts = defaults
+    cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
+    with pytest.raises(InvalidParamsError):
+        martingale_check(0.3, 0.0, params, consts, cfg,
+                         n_outer=n_outer, n_inner=n_inner)
 
 
 def test_oracle_config_validation():
@@ -340,7 +379,7 @@ def _loop_mc_v(state, t_horizon, theta, params, consts, cfg):
     """mc_v with its own e^{lam t}-weighted trapezoid of X^2."""
     lam, dt = consts.lam, cfg.dt
     n_steps = int(round(t_horizon / dt))
-    rng = philox_stream(cfg.seed)
+    rng = substream(cfg.seed)
     decay, sd = step_consts(lam, dt)
     xs = np.full(cfg.n_paths, float(state.x))
     acc = np.zeros(cfg.n_paths)
@@ -361,7 +400,7 @@ def _loop_mc_stock(state, params, consts, cfg, t_sub=10, tail_window=5.0):
     lam, rho, dt = consts.lam, params.rho, cfg.dt
     n_steps = (int(round(cfg.horizon / dt)) // t_sub) * t_sub
     horizon = n_steps * dt
-    rng = philox_stream(cfg.seed)
+    rng = substream(cfg.seed)
     decay, sd = step_consts(lam, dt)
     half_w = 0.25 * consts.age_norm * lam * dt
     xs = np.full(cfg.n_paths, float(state.x))
@@ -395,7 +434,7 @@ def _loop_martingale(t_final, theta, params, consts, cfg, n_outer, n_inner):
     interpolated on a (T/dt + 1)-node grid; the inner paths of every outer
     path step together as one (n_inner, n_outer) array."""
     lam, dt = consts.lam, cfg.dt
-    rng = philox_stream(cfg.seed)
+    rng = substream(cfg.seed)
     decay, sd = step_consts(lam, dt)
     amp = 0.5 * consts.age_norm * lam * math.exp(-lam * t_final)
     sol = abc_eval(OdeInputs(theta=theta, params=params, consts=consts,

@@ -1,4 +1,7 @@
+import inspect
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from dynastyprice import (SimConfig, derive_constants, expected_u,
                           sample_stationary, simulate)
 from dynastyprice.calibration import build_defaults
 from dynastyprice.model import InvalidParamsError
-from dynastyprice.ou import advance, philox_stream, step_consts, w_row
+from dynastyprice.ou import advance, step_consts, substream, w_row
 
 
 @pytest.fixture()
@@ -35,7 +38,8 @@ def test_one_step_variance():
     lam, dt = 2.0, 0.1
     want = 0.082419988491090175
     rng = np.random.default_rng(101)
-    steps, _ = advance(np.zeros(1_000_000), 0.0, rng, 1, lam, dt, 1.0)
+    # an odd count draws every path independently (no antithetic pairs)
+    steps, _ = advance(np.zeros(999_999), 0.0, rng, 1, lam, dt, 1.0)
     var = steps.var(ddof=1)
     se = want * np.sqrt(2.0 / (len(steps) - 1))
     assert abs(var - want) < 3 * se
@@ -70,7 +74,7 @@ def test_simulate_zero_steps(defaults):
                     params, consts)
     assert path.xs.shape == (3, 1)
     starts = [sample_stationary(params.lam,
-                                philox_stream(1, i).standard_normal())
+                                substream(1, i).standard_normal())
               for i in range(3)]
     assert np.array_equal(path.xs[:, 0], starts)
 
@@ -122,6 +126,23 @@ def test_w_increment_normality(defaults):
     assert abs(kurt) < 4.0 * np.sqrt(24.0 / n)
 
 
+def test_w_row_matches_trapezoid_definition(defaults):
+    # W_k = sum_{j<=k} (X_j - X_{j-1}) + (lam dt / 2)(X_{j-1} + X_j)
+    params, consts = defaults
+    lam = params.lam
+    for dt, shift, tol in ((5e-5, 0.0, 1e-12), (1e-3, 1.5, 1e-13)):
+        cfg = SimConfig(n_paths=1, n_steps=200_000, dt=dt, seed=1004)
+        x = simulate(cfg, params, consts).xs[0] + shift
+        incs = np.diff(x) + 0.5 * lam * dt * (x[:-1] + x[1:])
+        want = np.concatenate([[0.0], np.cumsum(incs)])
+        got = w_row(x, lam, dt)
+        assert got[0] == 0.0
+        # absolute on a mean-zero row; relative to |W| (up to about 600)
+        # on a row with drift
+        scale = max(1.0, float(np.max(np.abs(want)))) if shift else 1.0
+        assert np.max(np.abs(got - want)) <= tol * scale
+
+
 def _sequential(config, params):
     """Reference: the step-by-step recursions, one time step at a time."""
     lam = params.lam
@@ -129,7 +150,7 @@ def _sequential(config, params):
     dt = config.dt
     z = np.empty((n, m + 1))
     for i in range(n):
-        z[i] = philox_stream(config.seed, i).standard_normal(m + 1)
+        z[i] = substream(config.seed, i).standard_normal(m + 1)
     xs = np.empty((n, m + 1))
     xs[:, 0] = sample_stationary(lam, z[:, 0])
     decay, sd = step_consts(lam, dt)
@@ -196,7 +217,7 @@ def test_sim_config_rejects_non_finite_dt(dt):
 
 def test_advance_pairs_mirror_from_zero():
     # from x = 0 one step is the shock alone: rows h.. mirror rows ..h
-    x, _ = advance(np.zeros(6), 0.0, philox_stream(3), 1, 2.0, 1e-3, 1.0)
+    x, _ = advance(np.zeros(6), 0.0, substream(3), 1, 2.0, 1e-3, 1.0)
     assert np.array_equal(x[:3], -x[3:])
     assert np.all(x != 0.0)
 
@@ -204,25 +225,26 @@ def test_advance_pairs_mirror_from_zero():
 def _unpaired_advance(x, u, rng, n_steps, lam, dt, age_norm):
     """Reference: one draw of len(x) normals per step, no pairs."""
     decay, sd = step_consts(lam, dt)
-    v = np.zeros_like(x)
+    x /= sd
     x2 = x * x
+    w = 0.5 * x2
     for _ in range(n_steps):
         x *= decay
-        z = rng.standard_normal(len(x))
-        z *= sd
-        x += z
-        v += x2
-        v *= decay
+        x += rng.standard_normal(len(x))
+        w *= decay
         np.multiply(x, x, out=x2)
-        v += x2
-    return x, u * decay ** n_steps + 0.25 * age_norm * lam * dt * v
+        w += x2
+    w *= 2.0
+    w -= x2
+    x *= sd
+    return x, u * decay ** n_steps + 0.25 * age_norm * lam * dt * sd * sd * w
 
 
 @pytest.mark.parametrize("n", [1, 7])
 def test_advance_odd_count_draws_unpaired(n):
     x0 = np.linspace(-1.0, 1.0, n)
-    got = advance(x0.copy(), 0.3, philox_stream(11), 40, 2.0, 1e-3, 1.5)
-    want = _unpaired_advance(x0.copy(), 0.3, philox_stream(11), 40, 2.0,
+    got = advance(x0.copy(), 0.3, substream(11), 40, 2.0, 1e-3, 1.5)
+    want = _unpaired_advance(x0.copy(), 0.3, substream(11), 40, 2.0,
                              1e-3, 1.5)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -245,11 +267,24 @@ def test_advance_columns_match_one_dimensional_calls():
     n_rows, n_cols, n_steps = 6, 4, 25
     starts = np.linspace(-0.5, 0.5, n_cols)
     u0 = np.linspace(0.0, 0.3, n_cols)
-    blocks = philox_stream(21).standard_normal((n_steps, n_rows // 2, n_cols))
-    xs, us = advance(np.tile(starts, (n_rows, 1)), u0, philox_stream(21),
+    blocks = substream(21).standard_normal((n_steps, n_rows // 2, n_cols))
+    xs, us = advance(np.tile(starts, (n_rows, 1)), u0, substream(21),
                      n_steps, 2.0, 1e-3, 1.5)
     for j in range(n_cols):
         x, u = advance(np.full(n_rows, starts[j]), u0[j],
                        _Replay(blocks[:, :, j]), n_steps, 2.0, 1e-3, 1.5)
         assert np.array_equal(xs[:, j], x)
         assert np.array_equal(us[:, j], u)
+
+
+# ------------------------------------------------------- one generator source
+
+def test_generators_built_only_in_substream():
+    # every draw of the package comes from ou.substream, so changing the
+    # bit generator is a one-line change
+    calls = re.compile(r"np\.random\.(?!SeedSequence\()\w+\(|\b(?:Generator|"
+                       r"SFC64|PCG64|Philox|MT19937|default_rng|RandomState)\(")
+    src = Path(inspect.getsourcefile(substream)).parent
+    found = [c for path in sorted(src.glob("*.py"))
+             for c in calls.findall(path.read_text())]
+    assert found and found == calls.findall(inspect.getsource(substream))
