@@ -9,15 +9,15 @@ from .calibration import (CalibrationTarget, build_defaults, expected_rate,
 from .model import (DerivedConstants, InvalidParamsError, MarketState,
                     ModelParams, derive_constants, dividend, expected_u,
                     limit_constants, log_zeta, short_rate)
-from .odes import (DegenerateGError, OdeInputs, OdeSolution,
-                   QuadratureToleranceError, abc_eval, abc_numeric, g_closed)
+from .odes import (DegenerateGError, OdeInputs, OdeSolution, abc_eval,
+                   abc_numeric, g_closed)
 from .oracles import (McEstimate, OracleConfig, OverflowGuardError,
                       aggregation_check, martingale_check, mc_stock, mc_v,
                       xi_eta_check)
 from .ou import SimConfig, SimPath, sample_stationary, simulate
-from .pricing import (DivergentIntegralError, PriceReport, QuadratureConfig,
-                      bond_price, drift_star, pde_residual, stock_price,
-                      volatility, volatility_grid)
+from .pricing import (DivergentIntegralError, PriceReport,
+                      QuadratureToleranceError, bond_price, drift_star,
+                      pde_residual, stock_price, volatility, volatility_grid)
 
 __version__ = "0.1.0"
 
@@ -25,8 +25,8 @@ __all__ = [
     "BeliefInput", "CalibrationTarget", "DegenerateGError",
     "DerivedConstants", "DivergentIntegralError", "InvalidParamsError",
     "MarketState", "McEstimate", "ModelParams", "OdeInputs", "OdeSolution",
-    "OracleConfig", "OverflowGuardError", "PriceReport", "QuadratureConfig",
-    "SimConfig", "SimPath", "abc_eval", "abc_numeric", "aggregation_check",
+    "OracleConfig", "OverflowGuardError", "PriceReport", "SimConfig",
+    "SimPath", "abc_eval", "abc_numeric", "aggregation_check",
     "bond_price", "build_defaults", "derive_constants", "dividend",
     "drift_star", "expected_rate", "expected_u", "g_closed",
     "lambda_density", "limit_constants", "log_zeta", "martingale_check",

@@ -19,10 +19,10 @@ from .calibration import (CalibrationTarget, NoPositiveRootError,
                           build_defaults, expected_rate, solve_gamma)
 from .model import (InvalidParamsError, MarketState, ModelParams,
                     derive_constants, expected_u, short_rate)
-from .odes import DegenerateGError, QuadratureToleranceError, StepSizeUnderflowError
+from .odes import DegenerateGError, StepSizeUnderflowError
 from .oracles import OverflowGuardError
-from .pricing import (DivergentIntegralError, QuadratureConfig, bond_price,
-                      stock_price, volatility_grid)
+from .pricing import (DivergentIntegralError, QuadratureToleranceError,
+                      bond_price, stock_price, volatility_grid)
 from .validate import SUITES, run_suite
 
 NUMERICAL_ERRORS = (DegenerateGError, DivergentIntegralError,
@@ -140,7 +140,7 @@ def cmd_price(args) -> int:
     cfg = load_config(args)
     params, state = make_model(cfg)
     consts = derive_constants(params)
-    report = stock_price(state, params, consts, QuadratureConfig())
+    report = stock_price(state, params, consts)
     head, row = _echo_columns(cfg)
     _emit([head + ",stock_price,tail_err,grid_err",
            row + f",{_fmt(report.stock)},{_fmt(report.integrand_tail)},"
@@ -193,7 +193,7 @@ def run_sweep(param: str, lo: float, hi: float, steps: int, cfg: dict,
         consts = derive_constants(params)
         if param in ("lambda", "epsilon") and not hold_state:
             state = MarketState(state.x, expected_u(state.x, params, consts))
-        report = stock_price(state, params, consts, QuadratureConfig())
+        report = stock_price(state, params, consts)
         rows.append((float(v), report))
     return rows
 

@@ -44,18 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel
-from .model import DerivedConstants, InvalidParamsError, ModelParams
+from .model import (DerivedConstants, InvalidParamsError, ModelParams,
+                    _require_finite)
 
 G_FLOOR = 1e-12
 
 
 class DegenerateGError(ArithmeticError):
     """g(tau) vanished on the requested range (pole of a)."""
-
-
-class QuadratureToleranceError(ArithmeticError):
-    """Maturity-quadrature refinement hit its node budget before meeting
-    rel_tol."""
 
 
 class StepSizeUnderflowError(ArithmeticError):
@@ -71,6 +67,7 @@ class OdeInputs:
     n_grid: int = 2001
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("theta", "tau_max"))
         if not self.tau_max > 0.0:
             raise InvalidParamsError("tau_max must be positive")
         if self.n_grid < 2:
@@ -93,6 +90,37 @@ class OdeSolution:
         for arr in (self.taus, self.a_vals, self.b_vals, self.c_vals,
                     self.da_vals, self.db_vals, self.dc_vals):
             arr.setflags(write=False)
+
+
+def _bessel_coefficients(theta: float, params: ModelParams,
+                         consts: DerivedConstants):
+    """z0, the coefficients alpha, beta of g in the (J2, Y2) basis and
+    their tilt derivatives (A > 0)."""
+    lam, big_a = consts.lam, consts.age_norm
+    chat = consts.spd_quad + theta * params.a2
+    z0 = 2.0 * np.sqrt(big_a / lam)
+    sqrt_la = np.sqrt(lam * big_a)
+    j1_0, j2_0, w1_0, w2_0 = bessel.jy_scaled(z0)
+    y1_0, y2_0 = w1_0 / z0, w2_0 / (z0 * z0)
+    return (z0, sqrt_la * y1_0 - 2.0 * chat * y2_0,
+            sqrt_la * j1_0 - 2.0 * chat * j2_0,
+            -2.0 * params.a2 * y2_0, -2.0 * params.a2 * j2_0)
+
+
+def g_infinity(params: ModelParams, consts: DerivedConstants) -> float:
+    """g(inf) at theta = 0, the stock's margin from the Riccati pole:
+    4 beta / (pi z0^2), or p when A = 0.  g is monotone in tau from
+    g(0) = lam/pi, so it stays positive iff its limit does; raises
+    DegenerateGError with the margin when that is below G_FLOOR."""
+    if consts.age_norm == 0.0:
+        margin = (consts.lam / np.pi) * (1.0 - consts.spd_quad / consts.lam)
+    else:
+        z0, _, beta, _, _ = _bessel_coefficients(0.0, params, consts)
+        margin = 4.0 * beta / (np.pi * z0 * z0)
+    if not margin >= G_FLOOR:
+        raise DegenerateGError(f"g vanishes on [0, inf): g(inf) = "
+                               f"{margin:.6g} is below {G_FLOOR:g}")
+    return float(margin)
 
 
 def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
@@ -120,16 +148,8 @@ def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
         dk = -4.0 * lam * dq * (q - p)
         return g, gdot, dg, dgdot, h, dh, big_k, dk
 
-    big_a = consts.age_norm
-    z0 = 2.0 * np.sqrt(big_a / lam)
-    sqrt_la = np.sqrt(lam * big_a)
-    j1_0, j2_0, w1_0, w2_0 = bessel.jy_scaled(z0)
-    y1_0, y2_0 = w1_0 / z0, w2_0 / (z0 * z0)
-    alpha = sqrt_la * y1_0 - 2.0 * chat * y2_0
-    beta = sqrt_la * j1_0 - 2.0 * chat * j2_0
-    dalpha = -2.0 * a2 * y2_0
-    dbeta = -2.0 * a2 * j2_0
-
+    z0, alpha, beta, dalpha, dbeta = _bessel_coefficients(theta, params,
+                                                          consts)
     z = z0 * np.exp(-0.5 * lam * u)
     z2 = z * z
     # J1, J2, z Y1 and z^2 Y2 from one series pass; z <= z0 <= sqrt(2)

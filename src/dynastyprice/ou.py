@@ -49,8 +49,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1 or self.n_steps < 0:
-            raise InvalidParamsError("n_paths >= 1 and n_steps >= 0 required")
+        if self.n_paths < 1 or self.n_steps < 0 or self.seed < 0:
+            raise InvalidParamsError(
+                "n_paths >= 1, n_steps >= 0 and seed >= 0 required")
         _require_finite(self, ("dt",))
         if not self.dt > 0.0:
             raise InvalidParamsError("dt must be positive")

@@ -7,21 +7,23 @@ transform, integrated over maturities:
         int_0^inf e^{-rho tau - (1 - e^{-lam tau}) u}
                   (da/2 x^2 + db x + dc) e^{a/2 x^2 + b x + c} dtau
 
-evaluated by composite Simpson on the closed-form grid and closed by
-its exact tail: once the transient (rate lam) has died out the
-integrand decays like e^{-rho tau}, so the integral past the horizon is
-f(tau_max)/rho, folded into the last weight.  Horizon and node spacing
-start from max(10/rho, 20/lam) and 0.005 and are refined until
-|f(tau_max)| (``integrand_tail``) and the Richardson estimate meet
-rel_tol, within MAX_NODES nodes.
+It is finite iff the Riccati denominator g stays positive on every
+maturity, which `odes.g_infinity` decides from the parameters before any
+node is evaluated.  The integral is composite Simpson on the closed-form
+grid closed by its exact tail: past the transient (rate lam) the
+integrand decays at exactly rate rho, so the rest is f(tau_max)/rho,
+folded into the last weight.  Horizon and spacing start from
+max(10/rho, 20/lam) and 0.005 and are refined until |f(tau_max)|
+(``integrand_tail``) and the Richardson estimate meet REL_TOL, within
+MAX_NODES nodes; the horizon jumps by 1.1 log(|f| / (REL_TOL S)) / rho.
 
 The integrand is an x part F(x, tau) times the u part
-G(u, tau) = e^{-(1 - e^{-lam tau}) u}, and F_x is closed form, so the
-slope h_x needs no bumps.  `_x_part` and `_u_part` are the only code that
-forms the integrand: the grid solve multiplies them for its one state and
+G(u, tau) = e^{-(1 - e^{-lam tau}) u}, and F_x is closed form, so h_x
+needs no bumps.  `_x_part` and `_u_part` are the only code that forms
+the integrand: the grid solve multiplies them for its one state and
 contracts F and F_x on the pass it accepts (`stock_price`, `volatility`,
 `drift_star`); `volatility_grid` and `pde_residual` take S and h_x from
-`_stock_and_slope` on the grid solved at their median state, with
+`_stock_and_s_x` on the grid solved at their median state, with
 finite-difference stencils in `pde_residual` as an independent PDE check.
 
 The zero-coupon bond is the untilted transform itself and needs no
@@ -37,29 +39,24 @@ import numpy as np
 
 from .model import (DerivedConstants, InvalidParamsError, MarketState,
                     ModelParams, dividend, short_rate)
-from .odes import OdeInputs, OdeSolution, QuadratureToleranceError, abc_eval
+from .odes import OdeInputs, OdeSolution, abc_eval, g_infinity
 
 
-# Node budget of the grid refinement.  The largest grids the test suite and
-# the benchmark workloads solve have under 280,000 nodes (391,441 at
-# rel_tol 1e-10 at the defaults), so the budget leaves over fourfold
-# headroom, while a state the grid cannot resolve (u in the hundreds puts
-# the integrand within 1/(lam u) of tau = 0) fails in seconds, not minutes.
+# Node budget of the grid refinement: over sevenfold the largest grids the
+# tests and the benchmark workloads solve (under 280,000 nodes), while a
+# state the grid cannot resolve (u in the hundreds puts the integrand
+# within 1/(lam u) of tau = 0) fails in seconds, not minutes.
 MAX_NODES = 2 ** 21 + 1
+REL_TOL = 1e-8      # met by the tail and by the Richardson estimate alike
 
 
 class DivergentIntegralError(ArithmeticError):
-    """Maturity integrand is not decaying at the truncation horizon, or a
-    price, its slope or the short rate is not finite (overflowing state)."""
+    """The maturity integrand, a price, its x-derivative or the short rate
+    is not finite (an overflowing state)."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise InvalidParamsError("rel_tol must be positive")
+class QuadratureToleranceError(ArithmeticError):
+    """Grid refinement reached MAX_NODES before meeting REL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -113,9 +110,9 @@ def _x_part(x: float, sol: OdeSolution, params: ModelParams,
         np.multiply(efac, tilt, out=out[1])
 
 
-def _stock_and_slope(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
-                     params: ModelParams, consts: DerivedConstants
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _stock_and_s_x(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
+                   params: ModelParams, consts: DerivedConstants
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """S and h_x on the outer product of xs and us from one solution grid.
 
     S is the product of the (len(xs), N) matrix F with the
@@ -133,27 +130,26 @@ def _stock_and_slope(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
         _x_part(x, sol, params, consts, f)
         s[i], s_x[i] = f @ gw.T
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(s_x))):
-        raise DivergentIntegralError("stock price or its slope is not finite")
+        raise DivergentIntegralError("stock price or h_x is not finite")
     return s, s_x
 
 
 def _solve_grid(state: MarketState, params: ModelParams,
-                consts: DerivedConstants, q: QuadratureConfig
+                consts: DerivedConstants
                 ) -> tuple[OdeSolution, PriceReport, float]:
     """Refine the grid until the bounds hold; return sol, report and S_x."""
+    g_infinity(params, consts)
     tau_max = max(10.0 / params.rho, 20.0 / params.lam)
-    # density h ~ 0.005 resolves the maturity integrand's transients on
-    # the 1/lam scale for the Simpson rule; refinement handles the rest
-    n_grid = max(2001, math.ceil(tau_max / 0.005))
-    if n_grid % 2 == 0:
-        n_grid += 1
+    # density h ~ 0.005 resolves the maturity integrand's transients on the
+    # 1/lam scale for the Simpson rule (odd count); refinement does the rest
+    n_grid = max(2001, math.ceil(tau_max / 0.005)) | 1
 
     while True:
         if n_grid > MAX_NODES:
             raise QuadratureToleranceError(
                 f"refinement needs {n_grid} nodes, above the budget of "
                 f"{MAX_NODES}, at tau_max={tau_max:.1f}, "
-                f"rel_tol={q.rel_tol:.0e}")
+                f"rel_tol={REL_TOL:.0e}")
         sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
                                  tau_max=tau_max, n_grid=n_grid))
         f = np.empty((2, n_grid))
@@ -170,26 +166,12 @@ def _solve_grid(state: MarketState, params: ModelParams,
                                                    params.rho))
         grid_err = abs(total - half) / 15.0
         tail = abs(integ[-1])
-        scale = max(abs(total), 1e-300)
-
-        # decay check at the horizon (averaged log-slope over the last 2%)
-        k = max(2, n_grid // 50)
-        lo, hi = abs(integ[-1 - k]), abs(integ[-1])
-        if hi > 0.0 and lo > 0.0:
-            slope = math.log(hi / lo) / (k * h)
-        else:
-            slope = -np.inf
-        if slope >= 0.0:
-            raise DivergentIntegralError(
-                f"integrand not decaying at tau_max={tau_max:.1f} "
-                f"(log-slope {slope:.3g})")
-
-        need_tau = tail > q.rel_tol * scale
-        need_grid = grid_err > q.rel_tol * scale
+        tol = REL_TOL * max(abs(total), 1e-300)
+        need_tau, need_grid = tail > tol, grid_err > tol
         if not need_tau and not need_grid:
             s_x = float((f[1] * g) @ w)
             if not math.isfinite(s_x):
-                raise DivergentIntegralError("stock slope not finite")
+                raise DivergentIntegralError("stock h_x not finite")
             sign_change = bool(np.any(integ[:-1] * integ[1:] < 0.0))
             report = PriceReport(stock=float(total), integrand_tail=float(tail),
                                  grid_error=float(grid_err),
@@ -198,8 +180,8 @@ def _solve_grid(state: MarketState, params: ModelParams,
             return sol, report, s_x
 
         if need_tau:
-            # jump the horizon using the measured decay rate
-            extra = math.log(tail / (q.rel_tol * scale)) / max(-slope, 1e-6)
+            # past the transient the integrand decays at exactly rate rho
+            extra = math.log(tail / tol) / params.rho
             new_tau = tau_max + 1.1 * extra
             n_grid = 1 + 2 * math.ceil((n_grid - 1) / 2 * new_tau / tau_max)
             tau_max = new_tau
@@ -208,10 +190,9 @@ def _solve_grid(state: MarketState, params: ModelParams,
 
 
 def stock_price(state: MarketState, params: ModelParams,
-                consts: DerivedConstants,
-                q: QuadratureConfig = QuadratureConfig()) -> PriceReport:
+                consts: DerivedConstants) -> PriceReport:
     """Stock price with a-posteriori truncation and grid error estimates."""
-    return _solve_grid(state, params, consts, q)[1]
+    return _solve_grid(state, params, consts)[1]
 
 
 def bond_price(state: MarketState, tau: float, params: ModelParams,
@@ -242,16 +223,14 @@ def bond_price(state: MarketState, tau: float, params: ModelParams,
 
 
 def volatility(state: MarketState, params: ModelParams,
-               consts: DerivedConstants,
-               q: QuadratureConfig = QuadratureConfig()) -> float:
-    """Instantaneous stock volatility h_x / h, with the closed-form slope
+               consts: DerivedConstants) -> float:
+    """Instantaneous stock volatility h_x / h, with the closed-form h_x
     on the grid refined for the state."""
-    _, report, s_x = _solve_grid(state, params, consts, q)
+    _, report, s_x = _solve_grid(state, params, consts)
     return s_x / report.stock
 
 
-def _median_grid(xs, us, params: ModelParams, consts: DerivedConstants,
-                 q: QuadratureConfig
+def _median_grid(xs, us, params: ModelParams, consts: DerivedConstants
                  ) -> tuple[np.ndarray, np.ndarray, OdeSolution]:
     """xs and us as 1-d arrays and the grid solved at their median state;
     MarketState checks every state on the axes through the extreme ones."""
@@ -262,35 +241,33 @@ def _median_grid(xs, us, params: ModelParams, consts: DerivedConstants,
     MarketState(float(np.min(xs)), float(np.min(us)))
     MarketState(float(np.max(xs)), float(np.max(us)))
     mid = MarketState(float(np.median(xs)), float(np.median(us)))
-    return xs, us, _solve_grid(mid, params, consts, q)[0]
+    return xs, us, _solve_grid(mid, params, consts)[0]
 
 
-def volatility_grid(xs, us, params: ModelParams, consts: DerivedConstants,
-                    q: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
+def volatility_grid(xs, us, params: ModelParams, consts: DerivedConstants
+                    ) -> np.ndarray:
     """h_x / h on the outer product of xs and us, sharing one solution grid.
 
     Returns an (len(xs), len(us)) array.  The grid is refined for the
     median state; h_x is the closed-form x-derivative of the integrand
     on that grid, so no state is bumped.
     """
-    xs, us, sol = _median_grid(xs, us, params, consts, q)
-    s, s_x = _stock_and_slope(xs, us, sol, params, consts)
+    xs, us, sol = _median_grid(xs, us, params, consts)
+    s, s_x = _stock_and_s_x(xs, us, sol, params, consts)
     return s_x / s
 
 
 def drift_star(state: MarketState, a_star: float, params: ModelParams,
-               consts: DerivedConstants,
-               q: QuadratureConfig = QuadratureConfig()) -> float:
+               consts: DerivedConstants) -> float:
     """Expected stock return under the measure with true reversion level
     a_star: [r h - delta + (lam a_star - 2 spd_quad x - spd_lin) h_x] / h."""
-    _, report, h_x = _solve_grid(state, params, consts, q)
+    _, report, h_x = _solve_grid(state, params, consts)
     h, r = report.stock, short_rate(state, consts)
     risk_coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
     return float((r * h - dividend(state.x, params) + risk_coef * h_x) / h)
 
 
 def pde_residual(xs, us, params: ModelParams, consts: DerivedConstants,
-                 q: QuadratureConfig = QuadratureConfig(),
                  dx: float = 1e-3, du: float = 1e-3) -> float:
     """Max scaled residual of the pricing PDE over the (xs, us) grid.
 
@@ -298,14 +275,14 @@ def pde_residual(xs, us, params: ModelParams, consts: DerivedConstants,
     + lam (A/2 x^2 - u) h_u - r h + delta with second-order centred
     stencils, scaled by |r h| + 1.  The stencils take S on
     (xs, xs + dx, xs - dx) x (us, us + du, us - du) from one evaluator
-    call and ignore its closed-form slope, so they check it independently.
+    call and ignore its closed-form h_x, so they check it independently.
     """
-    xs, us, sol = _median_grid(xs, us, params, consts, q)
+    xs, us, sol = _median_grid(xs, us, params, consts)
     nx, nu = xs.size, us.size
 
-    s, _ = _stock_and_slope(np.concatenate([xs, xs + dx, xs - dx]),
-                            np.concatenate([us, us + du, us - du]),
-                            sol, params, consts)
+    s, _ = _stock_and_s_x(np.concatenate([xs, xs + dx, xs - dx]),
+                          np.concatenate([us, us + du, us - du]),
+                          sol, params, consts)
     h0, hup, hum = s[:nx, :nu], s[:nx, nu:2 * nu], s[:nx, 2 * nu:]
     hxp, hxm = s[nx:2 * nx, :nu], s[2 * nx:, :nu]
     xf, uf = np.meshgrid(xs, us, indexing="ij")

@@ -1,4 +1,5 @@
-"""Named verification suites shared by the CLI and the acceptance tests.
+"""Named verification suites for ``dynastyprice validate``; the acceptance
+tests check the same quantities with their own code, not these suites.
 
 Each suite returns a list of CheckResult rows; a suite passes when every
 row does.  Sizes default to the full acceptance scale; the ``fast`` flag
@@ -19,7 +20,7 @@ from .odes import OdeInputs, abc_eval, abc_numeric, g_closed
 from .oracles import (OracleConfig, aggregation_check, martingale_check,
                       mc_stock, mc_v, xi_eta_check)
 from .ou import SimConfig, simulate
-from .pricing import QuadratureConfig, pde_residual, stock_price
+from .pricing import pde_residual, stock_price
 
 SUITES = ("bessel", "ode", "pde", "mc", "appendix", "aggregation", "all")
 
@@ -128,7 +129,7 @@ def suite_mc(seed: int = 12345, fast: bool = False) -> list[CheckResult]:
     cfg = OracleConfig(n_paths=n_paths, dt=1e-3, burn_in=5.0,
                        horizon=15.0, seed=seed)
 
-    report = stock_price(state, params, consts, QuadratureConfig())
+    report = stock_price(state, params, consts)
     est = mc_stock(state, params, consts, cfg)
     err = abs(est.mean - report.stock)
     out.append(_check("mc", "stock_quadrature_vs_mc",

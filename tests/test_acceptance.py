@@ -23,7 +23,7 @@ from dynastyprice.calibration import build_defaults
 from dynastyprice.cli import run_sweep
 from dynastyprice.odes import g_closed
 from dynastyprice.ou import SimConfig
-from dynastyprice.pricing import QuadratureConfig, pde_residual
+from dynastyprice.pricing import pde_residual
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -118,7 +118,7 @@ def test_criterion_5_pde_residual(defaults):
 def test_criterion_6_oracle_equivalence(defaults):
     params, state, consts = defaults
     t0 = time.perf_counter()
-    rep = stock_price(state, params, consts, QuadratureConfig())
+    rep = stock_price(state, params, consts)
     cfg = OracleConfig(n_paths=100_000, dt=1e-3, burn_in=5.0, horizon=15.0,
                        seed=20_240)
     est = mc_stock(state, params, consts, cfg)

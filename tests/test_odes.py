@@ -90,6 +90,17 @@ def test_two_node_grid(defaults):
                   n_grid=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("theta", math.nan), ("theta", -math.inf),
+    ("tau_max", math.inf), ("tau_max", math.nan)])
+def test_ode_inputs_reject_non_finite(defaults, field, value):
+    # an input error (exit 2), not a vanishing g on the grid (exit 3)
+    params, consts = defaults
+    kw = {"theta": 0.0, "tau_max": 2.5, field: value}
+    with pytest.raises(InvalidParamsError, match=field):
+        abc_eval(OdeInputs(params=params, consts=consts, **kw))
+
+
 def test_boundary_values(defaults):
     params, consts = defaults
     for theta in (0.0, 0.1):

@@ -299,6 +299,16 @@ def test_martingale_rejects_bad_t_final(defaults, t_final):
                          n_outer=10, n_inner=20)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_martingale_rejects_non_finite_theta(defaults, theta):
+    # an input error (exit 2), not a vanishing g (exit 3)
+    params, _, consts = defaults
+    cfg = OracleConfig(n_paths=1, dt=1e-3, burn_in=5.0, horizon=1.0, seed=1)
+    with pytest.raises(InvalidParamsError):
+        martingale_check(0.3, theta, params, consts, cfg,
+                         n_outer=4, n_inner=10)
+
+
 @pytest.mark.parametrize("n_outer, n_inner", [(0, 20), (10, 1), (10, 2)])
 def test_martingale_rejects_too_few_paths(defaults, n_outer, n_inner):
     # two inner paths are one antithetic pair: no spread, no standard error

@@ -213,6 +213,12 @@ def test_sim_config_rejects_non_finite_dt(dt):
         SimConfig(n_paths=2, n_steps=3, dt=dt, seed=1)
 
 
+def test_sim_config_rejects_negative_seed():
+    # rejected with the config, before simulate allocates the path array
+    with pytest.raises(InvalidParamsError, match="seed"):
+        SimConfig(n_paths=2, n_steps=3, dt=1e-3, seed=-1)
+
+
 # ------------------------------------------------ antithetic pairs in advance
 
 def test_advance_pairs_mirror_from_zero():

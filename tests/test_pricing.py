@@ -9,18 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynastyprice import (InvalidParamsError, MarketState, ModelParams,
-                          QuadratureConfig, SimConfig, bond_price,
+from dynastyprice import (DegenerateGError, InvalidParamsError, MarketState,
+                          ModelParams, SimConfig, bond_price,
                           derive_constants, dividend, drift_star, expected_u,
-                          pde_residual, short_rate, simulate, stock_price,
-                          volatility, volatility_grid)
-from dynastyprice import pricing
+                          limit_constants, pde_residual, short_rate,
+                          simulate, stock_price, volatility, volatility_grid)
+from dynastyprice import odes, pricing
 from dynastyprice.calibration import build_defaults
-from dynastyprice.odes import (OdeInputs, OdeSolution, QuadratureToleranceError,
-                              abc_eval)
-from dynastyprice.pricing import (MAX_NODES, DivergentIntegralError,
-                                  _simpson_weights, _solve_grid,
-                                  _stock_and_slope, _u_part, _x_part)
+from dynastyprice.odes import G_FLOOR, OdeInputs, OdeSolution, abc_eval
+from dynastyprice.pricing import (MAX_NODES, REL_TOL, DivergentIntegralError,
+                                  QuadratureToleranceError, _simpson_weights,
+                                  _solve_grid, _stock_and_s_x, _u_part,
+                                  _x_part)
 
 
 @pytest.fixture(scope="module")
@@ -30,15 +30,15 @@ def defaults():
 
 
 def _stock_at(x, u, sol, params, consts):
-    return _stock_and_slope(np.array([x]), np.array([u]), sol, params,
-                            consts)[0][0, 0]
+    return _stock_and_s_x(np.array([x]), np.array([u]), sol, params,
+                          consts)[0][0, 0]
 
 
 def _richardson_slope(x, u, sol, params, consts, dx=1e-4):
     # centred differences of S at bumps dx and dx/2, extrapolated; S comes
     # from the F rows of the evaluator, a separate formula from its F_x
-    s, _ = _stock_and_slope(x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx]),
-                            np.array([u]), sol, params, consts)
+    s, _ = _stock_and_s_x(x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx]),
+                          np.array([u]), sol, params, consts)
     s = s[:, 0]
     return (4.0 * (s[2] - s[3]) / dx - (s[0] - s[1]) / (2.0 * dx)) / 3.0
 
@@ -80,11 +80,10 @@ def test_bond_positive_and_continuous(defaults):
 
 def test_stock_report_meets_tolerances(defaults):
     params, state, consts = defaults
-    q = QuadratureConfig()
-    rep = stock_price(state, params, consts, q)
+    rep = stock_price(state, params, consts)
     assert rep.stock > 0.0
-    assert rep.integrand_tail / rep.stock < q.rel_tol
-    assert rep.grid_error / rep.stock < q.rel_tol
+    assert rep.integrand_tail / rep.stock < REL_TOL
+    assert rep.grid_error / rep.stock < REL_TOL
     assert not rep.factor_sign_change
 
 
@@ -165,7 +164,7 @@ def test_volatility_grid_matches_richardson_slope(defaults, over):
         warnings.simplefilter("error")
         grid = volatility_grid(xs, us, params, consts)
     mid = MarketState(float(np.median(xs)), float(np.median(us)))
-    sol = _solve_grid(mid, params, consts, QuadratureConfig())[0]
+    sol = _solve_grid(mid, params, consts)[0]
     want = np.array([[_richardson_slope(x, u, sol, params, consts)
                       / _stock_at(x, u, sol, params, consts)
                       for u in us] for x in xs])
@@ -180,7 +179,7 @@ def test_volatility_and_drift_match_richardson_slope(defaults, over):
     params = replace(defaults[0], **over)
     consts = derive_constants(params)
     state, a_star = MarketState(1.6, 7.5), 2.2
-    sol = _solve_grid(state, params, consts, QuadratureConfig())[0]
+    sol = _solve_grid(state, params, consts)[0]
     h = _stock_at(state.x, state.u, sol, params, consts)
     h_x = _richardson_slope(state.x, state.u, sol, params, consts)
     coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
@@ -229,10 +228,10 @@ def test_surface_memory_independent_of_x_count(defaults):
         finally:
             tracemalloc.stop()
 
-    few = peak(_stock_and_slope, np.linspace(1.2, 2.0, 4), us, sol, params,
+    few = peak(_stock_and_s_x, np.linspace(1.2, 2.0, 4), us, sol, params,
                consts)
     xs = np.linspace(1.2, 2.0, 40)
-    many = peak(_stock_and_slope, xs, us, sol, params, consts)
+    many = peak(_stock_and_s_x, xs, us, sol, params, consts)
     assert many < bound
     assert many - few < node_bytes
     # one (n_x, N) matrix, as a joint-exponent pass over all x would hold
@@ -253,9 +252,9 @@ def test_drift_decomposition(defaults):
     params, state, consts = defaults
     a_star = 2.01
     mu = drift_star(state, a_star, params, consts)
-    sol = _solve_grid(state, params, consts, QuadratureConfig())[0]
-    s, s_x = _stock_and_slope(np.array([state.x]), np.array([state.u]), sol,
-                              params, consts)
+    sol = _solve_grid(state, params, consts)[0]
+    s, s_x = _stock_and_s_x(np.array([state.x]), np.array([state.u]), sol,
+                            params, consts)
     h, h_x = s[0, 0], s_x[0, 0]
     coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
     want = (short_rate(state, consts) * h - dividend(state.x, params)
@@ -269,8 +268,7 @@ def test_drift_against_one_step_simulation(defaults):
     params, state, consts = defaults
     a_star = 2.2
     lam, dt = params.lam, 1e-3
-    mu = drift_star(state, a_star, params, consts,
-                    QuadratureConfig(rel_tol=1e-3))
+    mu = drift_star(state, a_star, params, consts)
     sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
                              tau_max=150.0, n_grid=30_001))
     s0 = _stock_at(state.x, state.u, sol, params, consts)
@@ -321,7 +319,7 @@ def test_pde_residual_memory_bounded(defaults):
     xs = np.linspace(state.x - 0.1, state.x + 0.1, 3)
     us = np.linspace(state.u - 0.1, state.u + 0.1, 3)
     mid = MarketState(float(np.median(xs)), float(np.median(us)))
-    sol = _solve_grid(mid, params, consts, QuadratureConfig())[0]
+    sol = _solve_grid(mid, params, consts)[0]
     tracemalloc.start()
     try:
         pde_residual(xs, us, params, consts)
@@ -335,8 +333,7 @@ def test_pde_u_direction_semi_analytic(defaults):
     # u enters S only through exp(-(1 - e^{-lam tau}) u); compare the
     # centred h_u against the exact weighted integral
     params, state, consts = defaults
-    q = QuadratureConfig()
-    sol = _solve_grid(state, params, consts, q)[0]
+    sol = _solve_grid(state, params, consts)[0]
     f = np.empty((2, sol.taus.size))
     _x_part(state.x, sol, params, consts, f)
     integ = f[0] * _u_part([state.u], sol, consts)[0]
@@ -395,10 +392,81 @@ def test_refinement_stops_at_node_budget(defaults, monkeypatch):
 
     monkeypatch.setattr(pricing, "abc_eval", flat)
     with pytest.raises(QuadratureToleranceError):
-        _solve_grid(MarketState(state.x, 850.0), params, consts,
-                    QuadratureConfig())
+        _solve_grid(MarketState(state.x, 850.0), params, consts)
     assert asked and max(asked) <= MAX_NODES
     assert 2 * max(asked) - 1 > MAX_NODES
+
+
+# ------------------------------------------------------- admissibility
+
+def _box_sets(n, seed):
+    """n parameter sets from the property box: lam in [0.2, 5], epsilon in
+    [1/lam, 1/lam + 5], rho in [0.01, 0.1], a2 in [-3, 2], a1 in [-1, 1],
+    gamma_agg in [0.1, 1.5], alpha_mean in [0, 3]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        lam = rng.uniform(0.2, 5.0)
+        yield ModelParams(a0=0.0, a1=rng.uniform(-1.0, 1.0),
+                          a2=rng.uniform(-3.0, 2.0), lam=lam,
+                          rho=rng.uniform(0.01, 0.1),
+                          epsilon=1.0 / lam + rng.uniform(0.0, 5.0),
+                          gamma_agg=rng.uniform(0.1, 1.5),
+                          alpha_mean=rng.uniform(0.0, 3.0))
+
+
+class _NodeEvaluated(Exception):
+    pass
+
+
+def test_stock_admissibility_decided_before_any_node(defaults, monkeypatch):
+    # stock_price raises DegenerateGError exactly when g drops below
+    # G_FLOOR on a dense sample out to 60/lam plus tau = 1000/lam, and
+    # decides it before abc_eval is reached; A > 0 and the A = 0 limit
+    def no_nodes(inputs):
+        raise _NodeEvaluated
+
+    monkeypatch.setattr(pricing, "abc_eval", no_nodes)
+    state = defaults[1]
+    verdicts = []
+    for params in _box_sets(80, seed=17):
+        taus = np.append(np.linspace(0.0, 60.0 / params.lam, 2001),
+                         1000.0 / params.lam)
+        for consts in (derive_constants(params), limit_constants(params)):
+            g = odes._g_derivs(taus, 0.0, params, consts)[0]
+            bad = bool(np.min(g) < G_FLOOR)
+            with pytest.raises((DegenerateGError, _NodeEvaluated)) as info:
+                stock_price(state, params, consts)
+            if bad:
+                assert info.type is DegenerateGError
+                assert "g(inf) = " in str(info.value)
+            else:
+                assert info.type is _NodeEvaluated
+                assert odes.g_infinity(params, consts) == pytest.approx(
+                    g[-1], rel=1e-10)
+            verdicts.append(bad)
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
+def test_maturity_endpoint_decides_like_a_dense_grid():
+    # g is monotone, so the 2-node grid [0, tau] that bond_price and
+    # martingale_check solve raises exactly when a 2,001-node grid does
+    rng = np.random.default_rng(29)
+    raised = []
+    for params in _box_sets(120, seed=23):
+        consts = derive_constants(params)
+        tau = rng.uniform(0.01, 10.0) / params.lam
+        theta = rng.uniform(-0.5, 0.5)
+        outcomes = []
+        for n_grid in (2, 2001):
+            try:
+                abc_eval(OdeInputs(theta=theta, params=params, consts=consts,
+                                   tau_max=tau, n_grid=n_grid))
+                outcomes.append(False)
+            except DegenerateGError:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1]
+        raised.append(outcomes[0])
+    assert 10 <= sum(raised) <= len(raised) - 10
 
 
 def test_overflowing_state_is_not_priced(defaults):
