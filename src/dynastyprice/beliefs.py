@@ -91,7 +91,7 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
     All dynasties observe the same path; ages are drawn from phi and prior
     means alpha_i from N(alpha_mean, alpha_std^2), independently.
     """
-    if shared_path.xs.shape[0] != 1:
+    if shared_path.n_paths != 1:
         raise ValueError("shared_path must hold a single trajectory")
     if population_size < 2:
         raise InvalidParamsError("population_size >= 2 required (a standard "
@@ -106,7 +106,7 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
     alphas = rng.normal(params.alpha_mean, alpha_std, population_size)
 
     times = shared_path.times
-    ws = w_row(shared_path.xs[0], shared_path.lam, shared_path.dt)
+    ws = w_row(shared_path.row(0), shared_path.lam, shared_path.dt)
     w_birth = np.interp(times[-1] - ages, times, ws)
     dw = ws[-1] - w_birth
 

@@ -170,16 +170,34 @@ def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
     return g, gdot, dg, dgdot, h, dh, big_k, dk
 
 
-def _check_g(g, where: str) -> None:
-    # also rejects NaN, which every comparison fails
-    if not np.all(g >= G_FLOOR):
-        raise DegenerateGError(f"g vanishes on {where}")
+def _check_g(u, g, theta: float, params: ModelParams,
+             consts: DerivedConstants) -> None:
+    """Raise DegenerateGError unless g >= G_FLOOR at every time in ``u``
+    (NaN fails too).  Only then is the message built: it names the
+    earliest failing time, g there, and where g drops below G_FLOOR,
+    bisected from 0 (g = lam/pi) since g changes sign at most once."""
+    if np.all(g >= G_FLOOR):
+        return
+    u, g = (np.ravel(v) for v in np.broadcast_arrays(u, g))
+    k = int(np.argmin(np.where(g >= G_FLOOR, np.inf, u)))
+    lo, hi = 0.0, float(u[k])
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            g_mid = _g_derivs(np.array([mid]), theta, params, consts)[0][0]
+            if g_mid >= G_FLOOR:
+                lo = mid
+            else:
+                hi = mid
+    raise DegenerateGError(
+        f"g vanishes on [0, {np.max(u):g}]: g < {G_FLOOR:g} from "
+        f"tau = {hi:.6g} (g({u[k]:.6g}) = {g[k]:.6g})")
 
 
 def g_closed(u, theta: float, params: ModelParams, consts: DerivedConstants):
     """(g, g') at times u >= 0; raises DegenerateGError where g < 1e-12."""
     g, gdot, *_ = _g_derivs(u, theta, params, consts)
-    _check_g(g, "the requested range")
+    _check_g(u, g, theta, params, consts)
     return g, gdot
 
 
@@ -192,7 +210,7 @@ def abc_eval(inputs: OdeInputs) -> OdeSolution:
 
     g, gdot, dg, dgdot, h, dh, big_k, dk = _g_derivs(taus, theta, params,
                                                      consts)
-    _check_g(g, "[0, tau_max]")
+    _check_g(taus, g, theta, params, consts)
 
     a = -gdot / g
     da = -dgdot / g + gdot / (g * g) * dg

@@ -16,10 +16,11 @@ h pair means; an odd count draws every path independently.
 martingale_check continues all outer paths together as one
 (n_inner, n_outer) array, so each step is one time-major draw of
 (n_inner / 2, n_outer) normals.  The path checks (xi_eta_check,
-aggregation_check) read stationary mean-zero X paths and build W from one
-X row at a time (``ou.w_row``, one cumulative sum of the row written in
-place), so beyond the X array they hold only O(n_steps) scratch; their
-window trapezoids are dot products of a row with the weights of
+aggregation_check) draw stationary mean-zero X paths one row at a time
+(``SimPath.row``, into one reused buffer in xi_eta_check) and build W
+from that row (``ou.w_row``, one cumulative sum written in place), so
+they hold O(n_steps) scratch and never a whole path array; their window
+trapezoids are dot products of a row with the weights of
 ``_window_weights``.
 
 The stock oracle integrates the pathwise payoff over maturities out to a
@@ -59,6 +60,16 @@ class OverflowGuardError(ArithmeticError):
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """Sizes and seed of an oracle run.  Each oracle reads only some
+    fields; callers fill the rest with placeholders (n_paths=1,
+    horizon=1.0):
+
+    - mc_stock: n_paths, dt, horizon, seed;
+    - mc_v: n_paths, dt, seed (the horizon is its argument);
+    - aggregation_check: dt, burn_in, seed (one path);
+    - martingale_check: dt, seed (paths and horizon are arguments).
+    """
+
     n_paths: int
     dt: float
     burn_in: float
@@ -199,12 +210,12 @@ def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
     dt = path.dt
     wgt = _window_weights(path.lam, dt, path.n_steps)
     wgt_sum = float(np.sum(wgt))
-    n_paths = path.xs.shape[0]
-    xi_dev, eta_dev = np.empty(n_paths), np.empty(n_paths)
-    ws = np.empty(path.n_steps + 1)
-    sq = np.empty_like(ws)
-    for i in range(n_paths):
-        x = path.xs[i]
+    xi_dev, eta_dev = np.empty(path.n_paths), np.empty(path.n_paths)
+    x = np.empty(path.n_steps + 1)
+    ws = np.empty_like(x)
+    sq = np.empty_like(x)
+    for i in range(path.n_paths):
+        path.row(i, out=x)
         w_row(x, path.lam, dt, out=ws)
         x_t, w_t = x[-1], ws[-1]
         w_c = ws @ wgt
@@ -246,7 +257,7 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
     mean, se = aggregate_log_lambda(population_n, params, consts, path,
                                     seed=cfg.seed + 1, alpha_std=ALPHA_STD)
 
-    x = path.xs[0]
+    x = path.row(0)
     x_t = float(x[-1])
     eta = x_t * x_t + float((x * x) @ _window_weights(lam, cfg.dt, n_steps))
     xi = x_t

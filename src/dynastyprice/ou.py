@@ -12,15 +12,17 @@ integrals are discretised (trapezoid):
 Every draw comes from ``substream``: numpy's SFC64 bit generator (a
 quarter to a third cheaper per normal than Philox) keyed by a
 SeedSequence, with per-path substreams selected by spawn key.
-``simulate`` builds stored paths of X alone, each from its stationary
-draw and its own substream spawned from (seed, path index), so results
-do not depend on how paths are batched or ordered.  Along each path's time axis X is evaluated in
-blocks rather than one step at a time: inside a block the linear
-recursion y_k = e^{-lam dt} y_{k-1} + s_k is a scaled cumulative sum,
-with blocks short enough that no scale factor exceeds e.  Rounding then differs from the step-by-step recursion; at
-3 x 200,000 steps of dt = 5e-5 the two agree to 1e-12 absolute
-(tests/test_ou.py).  ``simulate`` holds the X array and
-O(n_paths * block) scratch for the recursion.
+``simulate`` draws nothing: it returns a ``SimPath`` that builds path i
+on demand (``SimPath.row``) from its stationary draw and its own
+substream spawned from (seed, i), so a row does not depend on how many
+paths there are or in which order they are read, and a reader holds one
+row at a time.  Along the time axis X is evaluated in blocks rather than
+one step at a time: inside a block the linear recursion
+y_k = e^{-lam dt} y_{k-1} + s_k is a scaled cumulative sum, with blocks
+short enough that no scale factor exceeds e.  Rounding then differs from
+the step-by-step recursion; at 3 x 200,000 steps of dt = 5e-5 the two
+agree to 1e-12 absolute (tests/test_ou.py).  A row costs the row itself
+and O(block) scratch for the recursion.
 
 W is a fixed function of an X row, so ``w_row`` builds it one row at a
 time on demand, from one cumulative sum of the row.  U exists only in
@@ -59,28 +61,42 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimPath:
-    """Simulated factor trajectories with the reversion rate they were
-    drawn at.
-
-    ``xs`` is (n_paths, n_steps+1) and frozen after construction.  W is
-    not stored: ``w_row`` builds it from one X row.
+    """Simulated factor trajectories, drawn on demand: ``row(i)`` builds
+    path i from its substream (seed, i).  W is not stored either:
+    ``w_row`` builds it from one X row.
     """
 
     t0: float
     dt: float
     lam: float
-    xs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.xs.setflags(write=False)
-
-    @property
-    def n_steps(self) -> int:
-        return self.xs.shape[1] - 1
+    n_paths: int
+    n_steps: int
+    seed: int
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.xs.shape[1])
+        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+
+    def row(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """X along path i, written into ``out`` (length n_steps + 1) when
+        given: the stationary start draw, then the exact steps."""
+        if not 0 <= i < self.n_paths:
+            raise IndexError(f"path {i} outside 0..{self.n_paths - 1}")
+        x = np.empty(self.n_steps + 1) if out is None else out
+        substream(self.seed, i).standard_normal(out=x)
+        x[0] = sample_stationary(self.lam, x[0])
+        x[1:] *= step_consts(self.lam, self.dt)[1]
+        _decay_recurrence(x, self.lam * self.dt)
+        return x
+
+    @property
+    def xs(self) -> np.ndarray:
+        """Every row stacked into a read-only (n_paths, n_steps + 1) array."""
+        xs = np.empty((self.n_paths, self.n_steps + 1))
+        for i in range(self.n_paths):
+            self.row(i, out=xs[i])
+        xs.setflags(write=False)
+        return xs
 
 
 def step_consts(lam: float, dt: float) -> tuple[float, float]:
@@ -198,17 +214,9 @@ def w_row(x: np.ndarray, lam: float, dt: float,
 
 def simulate(config: SimConfig, params: ModelParams, consts: DerivedConstants,
              t0: float = 0.0) -> SimPath:
-    """Simulate mean-zero paths of X, each started from its own
-    stationary draw.  Only ``params.lam`` affects the result."""
-    lam = params.lam
-    n, m = config.n_paths, config.n_steps
-    _, sd = step_consts(lam, config.dt)
-
-    # one substream per path: the stationary start draw, then the steps
-    xs = np.empty((n, m + 1))
-    for i in range(n):
-        substream(config.seed, i).standard_normal(out=xs[i])
-    xs[:, 0] = sample_stationary(lam, xs[:, 0])
-    xs[:, 1:] *= sd
-    _decay_recurrence(xs, lam * config.dt)
-    return SimPath(t0=t0, dt=config.dt, lam=lam, xs=xs)
+    """Mean-zero paths of X, each started from its own stationary draw;
+    nothing is drawn until a row is read.  Only ``params.lam`` affects
+    the result."""
+    return SimPath(t0=t0, dt=config.dt, lam=params.lam,
+                   n_paths=config.n_paths, n_steps=config.n_steps,
+                   seed=config.seed)

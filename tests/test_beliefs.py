@@ -112,14 +112,14 @@ def test_sample_age_requires_decreasing_density():
         sample_age(0.4, 2.0, rng)
 
 
-def test_aggregate_constant_path():
+def test_aggregate_constant_path(zero_draws):
     # X == 0 path: dW == 0, so only the deterministic age terms survive
     params, _ = build_defaults()
     consts = derive_constants(params)
     n = 20_000
     from dynastyprice.ou import SimPath
-    zeros = np.zeros((1, n + 1))
-    flat = SimPath(t0=-20.0, dt=1e-3, lam=params.lam, xs=zeros.copy())
+    flat = SimPath(t0=-20.0, dt=1e-3, lam=params.lam, n_paths=1, n_steps=n,
+                   seed=0)
     mean, se = aggregate_log_lambda(50_000, params, consts, flat, seed=11,
                                     alpha_std=0.0)
     # log Lambda = (1/2) log(eps/(eps+u)) - eps alpha^2 u / (2 (eps+u))

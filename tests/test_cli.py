@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,20 @@ def test_numerical_failure_exit(capsys):
     code, _, err = run_cli(capsys, "price", "--set", "a2=-5")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_degenerate_g_names_where_g_vanishes(capsys):
+    # a2 = -5 puts the pole of a between the maturities 0.01 (priced) and
+    # 30: the two-node grid [0, 30] fails only at 30, and the message
+    # names where g first drops below the floor
+    code, out, _ = run_cli(capsys, "bond", "--tau", "0.01", "--set", "a2=-5")
+    assert code == 0
+    assert math.isfinite(float(out.splitlines()[1].split(",")[-1]))
+    code, _, err = run_cli(capsys, "bond", "--tau", "30", "--set", "a2=-5")
+    assert code == 3
+    tau = float(re.search(r"from tau = (\S+) ", err).group(1))
+    assert 0.01 < tau <= 0.5
+    assert "g(30) = -0.255" in err
 
 
 def test_price_finite_at_small_rho(capsys):

@@ -170,10 +170,9 @@ def test_mc_stock_normalisation_invariance(defaults, monkeypatch):
     assert again.se == pytest.approx(base.se, rel=1e-9)
 
 
-def test_xi_eta_constant_path(defaults):
+def test_xi_eta_constant_path(defaults, zero_draws):
     n = 1000
-    zeros = np.zeros((1, n + 1))
-    path = SimPath(t0=-1.0, dt=1e-3, lam=2.0, xs=zeros.copy())
+    path = SimPath(t0=-1.0, dt=1e-3, lam=2.0, n_paths=1, n_steps=n, seed=0)
     xd, ed = xi_eta_check(path)
     assert xd[0] == 0.0
     assert ed[0] == 0.0
@@ -233,6 +232,22 @@ def test_xi_eta_adds_only_row_scratch(defaults):
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * path.xs.nbytes
+
+
+def test_simulate_and_xi_eta_hold_a_few_rows(defaults):
+    # at the appendix size of 100 x 200,001 the path would be 160 MB; rows
+    # are drawn one at a time into a reused buffer, beside W, a square and
+    # the window weights: 4.2-4.7 rows measured, bounded at 6
+    params, _, consts = defaults
+    cfg = SimConfig(n_paths=100, n_steps=200_000, dt=5e-5, seed=1003)
+    row_bytes = (cfg.n_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        xi_eta_check(simulate(cfg, params, consts, t0=-10.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * row_bytes
 
 
 def test_aggregation_within_three_se(defaults):

@@ -207,6 +207,36 @@ def test_simulate_holds_one_path_array(defaults):
     assert peak < 1.25 * path.xs.nbytes
 
 
+def test_simulate_draws_nothing(defaults):
+    # rows are drawn when read: simulate holds less than one row
+    params, consts = defaults
+    cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
+    tracemalloc.start()
+    try:
+        simulate(cfg, params, consts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (cfg.n_steps + 1) * 8
+
+
+def test_row_independent_of_path_count_and_order(defaults):
+    params, consts = defaults
+    xs = simulate(SimConfig(n_paths=5, n_steps=300, dt=1e-3, seed=31),
+                  params, consts).xs
+    more = simulate(SimConfig(n_paths=9, n_steps=300, dt=1e-3, seed=31),
+                    params, consts)
+    row3 = more.row(3)
+    buf = np.full(301, np.nan)
+    assert more.row(0, out=buf) is buf
+    assert np.array_equal(row3, xs[3])
+    assert np.array_equal(buf, xs[0])
+    for i in range(5):
+        assert np.array_equal(more.row(i), xs[i])
+    with pytest.raises(IndexError):
+        more.row(9)
+
+
 @pytest.mark.parametrize("dt", [float("inf"), float("nan")])
 def test_sim_config_rejects_non_finite_dt(dt):
     with pytest.raises(InvalidParamsError):
@@ -214,7 +244,7 @@ def test_sim_config_rejects_non_finite_dt(dt):
 
 
 def test_sim_config_rejects_negative_seed():
-    # rejected with the config, before simulate allocates the path array
+    # rejected with the config, before any path row is drawn
     with pytest.raises(InvalidParamsError, match="seed"):
         SimConfig(n_paths=2, n_steps=3, dt=1e-3, seed=-1)
 
