@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, InvalidParamsError, ModelParams
-from .ou import SimPath, substream, w_row
+from .model import InvalidParamsError, ModelParams, NumericalError
+from .ou import SimPath, substream
 
 
-class AgeExceedsPathError(RuntimeError):
+class AgeExceedsPathError(NumericalError):
     """A sampled dynasty age reaches past the simulated burn-in window."""
 
 
@@ -82,14 +82,14 @@ def sample_age(epsilon: float, lam: float, rng: np.random.Generator,
 
 
 def aggregate_log_lambda(population_size: int, params: ModelParams,
-                         consts: DerivedConstants, shared_path: SimPath,
-                         seed: int, alpha_std: float = 0.1
-                         ) -> tuple[float, float]:
+                         shared_path: SimPath, ws: np.ndarray, seed: int,
+                         alpha_std: float = 0.1) -> tuple[float, float]:
     """Population average of Gamma * (1/gamma_i) * log Lambda_i, with every
     gamma_i at gamma_agg, and its standard error.
 
-    All dynasties observe the same path; ages are drawn from phi and prior
-    means alpha_i from N(alpha_mean, alpha_std^2), independently.
+    All dynasties observe the same path, whose W row (``ou.w_row`` of its
+    row 0) is ``ws``; ages are drawn from phi and prior means alpha_i from
+    N(alpha_mean, alpha_std^2), independently.
     """
     if shared_path.n_paths != 1:
         raise ValueError("shared_path must hold a single trajectory")
@@ -106,7 +106,6 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
     alphas = rng.normal(params.alpha_mean, alpha_std, population_size)
 
     times = shared_path.times
-    ws = w_row(shared_path.row(0), shared_path.lam, shared_path.dt)
     w_birth = np.interp(times[-1] - ages, times, ws)
     dw = ws[-1] - w_birth
 

@@ -14,20 +14,13 @@ import sys
 
 import numpy as np
 
-from .beliefs import AgeExceedsPathError
 from .calibration import (CalibrationTarget, NoPositiveRootError,
                           build_defaults, expected_rate, solve_gamma)
 from .model import (InvalidParamsError, MarketState, ModelParams,
-                    derive_constants, expected_u, short_rate)
-from .odes import DegenerateGError, StepSizeUnderflowError
-from .oracles import OverflowGuardError
-from .pricing import (DivergentIntegralError, QuadratureToleranceError,
-                      bond_price, stock_price, volatility_grid)
+                    NumericalError, derive_constants, expected_u, short_rate)
+from .pricing import (DivergentIntegralError, bond_price, stock_price,
+                      volatility_grid)
 from .validate import SUITES, run_suite
-
-NUMERICAL_ERRORS = (DegenerateGError, DivergentIntegralError,
-                    QuadratureToleranceError, OverflowGuardError,
-                    StepSizeUnderflowError, AgeExceedsPathError)
 
 PARAM_KEYS = ("a0", "a1", "a2", "lambda", "rho", "epsilon", "gamma_agg",
               "alpha_mean")
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParamsError, NoPositiveRootError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -23,6 +23,10 @@ class InvalidParamsError(ValueError):
     """Parameter set violates a model invariant."""
 
 
+class NumericalError(ArithmeticError):
+    """A valid input the numerics cannot price or check (exit code 3)."""
+
+
 def _require_finite(obj, names) -> None:
     for name in names:
         if not math.isfinite(getattr(obj, name)):

@@ -45,16 +45,16 @@ import numpy as np
 
 from . import bessel
 from .model import (DerivedConstants, InvalidParamsError, ModelParams,
-                    _require_finite)
+                    NumericalError, _require_finite)
 
 G_FLOOR = 1e-12
 
 
-class DegenerateGError(ArithmeticError):
+class DegenerateGError(NumericalError):
     """g(tau) vanished on the requested range (pole of a)."""
 
 
-class StepSizeUnderflowError(ArithmeticError):
+class StepSizeUnderflowError(NumericalError):
     """The cross-check integrator stalled (pole of a on the range)."""
 
 

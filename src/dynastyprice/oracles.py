@@ -42,7 +42,8 @@ from numpy.polynomial.laguerre import laggauss
 
 from . import model
 from .beliefs import aggregate_log_lambda
-from .model import DerivedConstants, InvalidParamsError, MarketState, ModelParams
+from .model import (DerivedConstants, InvalidParamsError, MarketState,
+                    ModelParams, NumericalError)
 from .odes import OdeInputs, abc_eval
 from .ou import (SimConfig, SimPath, advance, sample_stationary,
                  simulate, substream, w_row)
@@ -54,7 +55,7 @@ ALPHA_STD = 0.1         # aggregation_check: sd of the dynasties' prior means
 AGE_TAIL_MAX = 0.01     # aggregation_check: expected ages past the burn-in
 
 
-class OverflowGuardError(ArithmeticError):
+class OverflowGuardError(NumericalError):
     """A simulated log payoff exceeded the exp() overflow cap."""
 
 
@@ -254,10 +255,11 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
     sim = SimConfig(n_paths=1, n_steps=n_steps, dt=cfg.dt, seed=cfg.seed)
     path = simulate(sim, params, consts, t0=-cfg.burn_in)
 
-    mean, se = aggregate_log_lambda(population_n, params, consts, path,
-                                    seed=cfg.seed + 1, alpha_std=ALPHA_STD)
-
     x = path.row(0)
+    mean, se = aggregate_log_lambda(population_n, params, path,
+                                    w_row(x, lam, cfg.dt), seed=cfg.seed + 1,
+                                    alpha_std=ALPHA_STD)
+
     x_t = float(x[-1])
     eta = x_t * x_t + float((x * x) @ _window_weights(lam, cfg.dt, n_steps))
     xi = x_t

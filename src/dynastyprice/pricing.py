@@ -9,22 +9,24 @@ transform, integrated over maturities:
 
 It is finite iff the Riccati denominator g stays positive on every
 maturity, which `odes.g_infinity` decides from the parameters before any
-node is evaluated.  The integral is composite Simpson on the closed-form
-grid closed by its exact tail: past the transient (rate lam) the
-integrand decays at exactly rate rho, so the rest is f(tau_max)/rho,
-folded into the last weight.  Horizon and spacing start from
-max(10/rho, 20/lam) and 0.005 and are refined until |f(tau_max)|
-(``integrand_tail``) and the Richardson estimate meet REL_TOL, within
-MAX_NODES nodes; the horizon jumps by 1.1 log(|f| / (REL_TOL S)) / rho.
+node is evaluated.
 
-The integrand is an x part F(x, tau) times the u part
-G(u, tau) = e^{-(1 - e^{-lam tau}) u}, and F_x is closed form, so h_x
-needs no bumps.  `_x_part` and `_u_part` are the only code that forms
-the integrand: the grid solve multiplies them for its one state and
-contracts F and F_x on the pass it accepts (`stock_price`, `volatility`,
-`drift_star`); `volatility_grid` and `pde_residual` take S and h_x from
-`_stock_and_s_x` on the grid solved at their median state, with
-finite-difference stencils in `pde_residual` as an independent PDE check.
+`_rule` alone knows the quadrature: composite Simpson on the closed-form
+grid, closed by its exact tail (past the transient, rate lam, the
+integrand decays at exactly rate rho, so the rest is f(tau_max)/rho);
+the same rule on every other node; and the last node alone.  The
+integrand is an x part F(x, tau) times the u part
+G(u, tau) = e^{-(1 - e^{-lam tau}) u}, and F_x is closed form, so S_x
+needs no bumps; `_stock_and_s_x` alone forms F G, contracting F and F_x
+against G times each weight column it is given.  `_solve_grid` refines
+one state's grid from horizon max(10/rho, 20/lam) and spacing 0.005
+until the integrand left at the horizon (``integrand_tail``) and the
+Richardson estimate meet REL_TOL, within MAX_NODES nodes (the horizon
+jumps by 1.1 log(|f| / (REL_TOL S)) / rho); its `PriceReport` carries S
+and S_x for `stock_price`, `volatility` and `drift_star`.
+`volatility_grid` and `pde_residual` contract the Simpson column on the
+grid solved at their median state, with finite-difference stencils in
+`pde_residual` as an independent PDE check.
 
 The zero-coupon bond is the untilted transform itself and needs no
 maturity integral: it is one closed-form evaluation at its maturity.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DerivedConstants, InvalidParamsError, MarketState,
-                    ModelParams, dividend, short_rate)
+                    ModelParams, NumericalError, dividend, short_rate)
 from .odes import OdeInputs, OdeSolution, abc_eval, g_infinity
 
 
@@ -50,18 +52,19 @@ MAX_NODES = 2 ** 21 + 1
 REL_TOL = 1e-8      # met by the tail and by the Richardson estimate alike
 
 
-class DivergentIntegralError(ArithmeticError):
+class DivergentIntegralError(NumericalError):
     """The maturity integrand, a price, its x-derivative or the short rate
     is not finite (an overflowing state)."""
 
 
-class QuadratureToleranceError(ArithmeticError):
+class QuadratureToleranceError(NumericalError):
     """Grid refinement reached MAX_NODES before meeting REL_TOL."""
 
 
 @dataclass(frozen=True)
 class PriceReport:
     stock: float
+    stock_x: float
     integrand_tail: float
     grid_error: float
     tau_max: float
@@ -69,23 +72,24 @@ class PriceReport:
     factor_sign_change: bool = False
 
 
-def _simpson_weights(n: int, h: float, rho: float) -> np.ndarray:
-    """Composite Simpson weights on n nodes of spacing h, plus 1/rho on the
-    last node for the e^{-rho tau} tail beyond it."""
-    w = np.zeros(n)
-    w[0:-2:2] += h / 3.0
-    w[1:-1:2] += 4.0 * h / 3.0
-    w[2::2] += h / 3.0
-    w[-1] += 1.0 / rho
-    return w
+def _rule(taus: np.ndarray, rho: float) -> np.ndarray:
+    """(N, 3) weights on the uniform grid taus: composite Simpson plus
+    1/rho on the last node for the e^{-rho tau} tail beyond it; the same
+    rule on every other node; and the last node alone."""
+    h = taus[1] - taus[0]
+    w = np.zeros((3, taus.size))    # each column contiguous
+    for col, step in ((w[0], h), (w[1, ::2], 2 * h)):
+        col[0:-2:2] += step / 3.0
+        col[1:-1:2] += 4.0 * step / 3.0
+        col[2::2] += step / 3.0
+        col[-1] += 1.0 / rho
+    w[2, -1] = 1.0
+    return w.T
 
 
-def _u_part(us, sol: OdeSolution, consts: DerivedConstants) -> np.ndarray:
-    """G = e^{-(1 - e^{-lam tau}) u} on the grid, one row per u."""
-    # u >= 0 and 1 - e^{-lam tau} in [0, 1) keep G in (e^{-u}, 1], so
-    # splitting it from F underflows nothing the joint exponential keeps
-    g = np.outer(us, np.expm1(-consts.lam * sol.taus))
-    return np.exp(g, out=g)
+def _tilt(x: float, sol: OdeSolution) -> np.ndarray:
+    """The tilt factor da x^2/2 + db x + dc on the grid."""
+    return (0.5 * x * x) * sol.da_vals + x * sol.db_vals + sol.dc_vals
 
 
 def _x_part(x: float, sol: OdeSolution, params: ModelParams,
@@ -95,49 +99,55 @@ def _x_part(x: float, sol: OdeSolution, params: ModelParams,
         F = e^{-spd_lin x - spd_quad x^2 + a x^2/2 + b x + c - rho tau} tilt
         F_x = e^{...} [(x da + db) + tilt (a x + b - spd_lin - 2 spd_quad x)]
 
-    with tilt = da x^2/2 + db x + dc.  An overflowing state leaves inf or
-    NaN in out without a numpy warning; callers check finiteness.
+    An overflowing state leaves inf or NaN in out; the caller silences
+    numpy's warnings and checks finiteness.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        tilt = (0.5 * x * x) * sol.da_vals + x * sol.db_vals + sol.dc_vals
-        efac = np.exp((0.5 * x * x) * sol.a_vals + x * sol.b_vals
-                      + (sol.c_vals - params.rho * sol.taus)
-                      - (consts.spd_lin * x + consts.spd_quad * x * x))
-        np.multiply(efac, tilt, out=out[0])
-        tilt *= x * sol.a_vals + (sol.b_vals - consts.spd_lin
-                                  - 2.0 * consts.spd_quad * x)
-        tilt += x * sol.da_vals + sol.db_vals
-        np.multiply(efac, tilt, out=out[1])
+    tilt = _tilt(x, sol)
+    efac = np.exp((0.5 * x * x) * sol.a_vals + x * sol.b_vals
+                  + (sol.c_vals - params.rho * sol.taus)
+                  - (consts.spd_lin * x + consts.spd_quad * x * x))
+    np.multiply(efac, tilt, out=out[0])
+    tilt *= x * sol.a_vals + (sol.b_vals - consts.spd_lin
+                              - 2.0 * consts.spd_quad * x)
+    tilt += x * sol.da_vals + sol.db_vals
+    np.multiply(efac, tilt, out=out[1])
 
 
-def _stock_and_s_x(xs: np.ndarray, us: np.ndarray, sol: OdeSolution,
-                   params: ModelParams, consts: DerivedConstants
+def _stock_and_s_x(xs, us, sol: OdeSolution, params: ModelParams,
+                   consts: DerivedConstants, w: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """S and h_x on the outer product of xs and us from one solution grid.
+    """S and S_x on the outer product of xs and us, against each of the k
+    weight columns of the (N, k) matrix w: two (len(xs), len(us), k) arrays.
 
-    S is the product of the (len(xs), N) matrix F with the
-    Simpson-weighted (N, len(us)) matrix G, and h_x the same product with
-    F_x.  F and F_x are filled one x at a time, so scratch memory is
-    O((len(us) + c) N) whatever len(xs).
+    Each is the product of F (or F_x), one row per x, with G times each
+    weight column, one row per (u, column).  F and F_x are filled one x
+    at a time, so scratch memory is O((k len(us) + c) N) whatever len(xs).
     """
-    taus = sol.taus
-    gw = _u_part(us, sol, consts)
-    gw *= _simpson_weights(len(taus), taus[1] - taus[0], params.rho)
-    f = np.empty((2, taus.size))
-    s = np.empty((xs.size, us.size))
-    s_x = np.empty((xs.size, us.size))
-    for i, x in enumerate(xs):
-        _x_part(x, sol, params, consts, f)
-        s[i], s_x[i] = f @ gw.T
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(s_x))):
-        raise DivergentIntegralError("stock price or h_x is not finite")
-    return s, s_x
+    n = sol.taus.size
+    # G = e^{-(1 - e^{-lam tau}) u} lies in (e^{-u}, 1] for u >= 0, so
+    # splitting it from F underflows nothing the joint exponential keeps
+    gw = np.empty((len(us), w.shape[1], n))
+    np.multiply.outer(us, np.expm1(-consts.lam * sol.taus), out=gw[:, 0])
+    np.exp(gw[:, :1], out=gw)       # G in every weight column, in place
+    gw *= w.T
+    gw = gw.reshape(-1, n)
+    f = np.empty((2, n))
+    out = np.empty((2, len(xs), len(us), w.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(xs):
+            _x_part(x, sol, params, consts, f)
+            out[:, i] = (f @ gw.T).reshape(out[:, i].shape)
+    bad = ~np.isfinite(out).all(axis=(0, 3))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DivergentIntegralError(
+            f"stock price or S_x not finite at x={xs[i]:.6g}, u={us[j]:.6g}")
+    return out[0], out[1]
 
 
 def _solve_grid(state: MarketState, params: ModelParams,
-                consts: DerivedConstants
-                ) -> tuple[OdeSolution, PriceReport, float]:
-    """Refine the grid until the bounds hold; return sol, report and S_x."""
+                consts: DerivedConstants) -> tuple[OdeSolution, PriceReport]:
+    """Refine the grid until the bounds hold; return sol and the report."""
     g_infinity(params, consts)
     tau_max = max(10.0 / params.rho, 20.0 / params.lam)
     # density h ~ 0.005 resolves the maturity integrand's transients on the
@@ -152,32 +162,22 @@ def _solve_grid(state: MarketState, params: ModelParams,
                 f"rel_tol={REL_TOL:.0e}")
         sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
                                  tau_max=tau_max, n_grid=n_grid))
-        f = np.empty((2, n_grid))
-        _x_part(state.x, sol, params, consts, f)
-        g = _u_part([state.u], sol, consts)[0]
-        integ = f[0] * g
-        if not np.all(np.isfinite(integ)):
-            raise DivergentIntegralError(
-                f"integrand not finite at x={state.x:.6g}, u={state.u:.6g}")
-        h = sol.taus[1] - sol.taus[0]
-        w = _simpson_weights(n_grid, h, params.rho)
-        total = float(integ @ w)
-        half = float(integ[::2] @ _simpson_weights((n_grid + 1) // 2, 2 * h,
-                                                   params.rho))
+        s, s_x = _stock_and_s_x([state.x], [state.u], sol, params, consts,
+                                _rule(sol.taus, params.rho))
+        total, half, tail = s[0, 0]
         grid_err = abs(total - half) / 15.0
-        tail = abs(integ[-1])
+        tail = abs(tail)
         tol = REL_TOL * max(abs(total), 1e-300)
         need_tau, need_grid = tail > tol, grid_err > tol
         if not need_tau and not need_grid:
-            s_x = float((f[1] * g) @ w)
-            if not math.isfinite(s_x):
-                raise DivergentIntegralError("stock h_x not finite")
-            sign_change = bool(np.any(integ[:-1] * integ[1:] < 0.0))
-            report = PriceReport(stock=float(total), integrand_tail=float(tail),
-                                 grid_error=float(grid_err),
-                                 tau_max=float(tau_max), n_grid=int(n_grid),
-                                 factor_sign_change=sign_change)
-            return sol, report, s_x
+            # F = (positive exponential) tilt and G > 0: only the tilt
+            # can change the integrand's sign
+            sign = np.sign(_tilt(state.x, sol))
+            return sol, PriceReport(
+                stock=float(total), stock_x=float(s_x[0, 0, 0]),
+                integrand_tail=float(tail), grid_error=float(grid_err),
+                tau_max=float(tau_max), n_grid=int(n_grid),
+                factor_sign_change=bool(np.any(sign[:-1] * sign[1:] < 0.0)))
 
         if need_tau:
             # past the transient the integrand decays at exactly rate rho
@@ -226,8 +226,8 @@ def volatility(state: MarketState, params: ModelParams,
                consts: DerivedConstants) -> float:
     """Instantaneous stock volatility h_x / h, with the closed-form h_x
     on the grid refined for the state."""
-    _, report, s_x = _solve_grid(state, params, consts)
-    return s_x / report.stock
+    report = _solve_grid(state, params, consts)[1]
+    return report.stock_x / report.stock
 
 
 def _median_grid(xs, us, params: ModelParams, consts: DerivedConstants
@@ -253,16 +253,17 @@ def volatility_grid(xs, us, params: ModelParams, consts: DerivedConstants
     on that grid, so no state is bumped.
     """
     xs, us, sol = _median_grid(xs, us, params, consts)
-    s, s_x = _stock_and_s_x(xs, us, sol, params, consts)
-    return s_x / s
+    s, s_x = _stock_and_s_x(xs, us, sol, params, consts,
+                            _rule(sol.taus, params.rho)[:, :1])
+    return s_x[..., 0] / s[..., 0]
 
 
 def drift_star(state: MarketState, a_star: float, params: ModelParams,
                consts: DerivedConstants) -> float:
     """Expected stock return under the measure with true reversion level
     a_star: [r h - delta + (lam a_star - 2 spd_quad x - spd_lin) h_x] / h."""
-    _, report, h_x = _solve_grid(state, params, consts)
-    h, r = report.stock, short_rate(state, consts)
+    report = _solve_grid(state, params, consts)[1]
+    h, h_x, r = report.stock, report.stock_x, short_rate(state, consts)
     risk_coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
     return float((r * h - dividend(state.x, params) + risk_coef * h_x) / h)
 
@@ -280,9 +281,9 @@ def pde_residual(xs, us, params: ModelParams, consts: DerivedConstants,
     xs, us, sol = _median_grid(xs, us, params, consts)
     nx, nu = xs.size, us.size
 
-    s, _ = _stock_and_s_x(np.concatenate([xs, xs + dx, xs - dx]),
-                          np.concatenate([us, us + du, us - du]),
-                          sol, params, consts)
+    s = _stock_and_s_x(np.concatenate([xs, xs + dx, xs - dx]),
+                       np.concatenate([us, us + du, us - du]), sol, params,
+                       consts, _rule(sol.taus, params.rho)[:, :1])[0][..., 0]
     h0, hup, hum = s[:nx, :nu], s[:nx, nu:2 * nu], s[:nx, 2 * nu:]
     hxp, hxm = s[nx:2 * nx, :nu], s[2 * nx:, :nu]
     xf, uf = np.meshgrid(xs, us, indexing="ij")

@@ -7,7 +7,7 @@ from dynastyprice import (BeliefInput, InvalidParamsError, SimConfig,
 from dynastyprice.beliefs import (AgeExceedsPathError, aggregate_log_lambda,
                                   log_lambda_density)
 from dynastyprice.calibration import build_defaults
-from dynastyprice.ou import substream
+from dynastyprice.ou import substream, w_row
 
 
 def gauss_hermite_lambda(dw, dt, alpha, eps, n_nodes=80):
@@ -112,15 +112,18 @@ def test_sample_age_requires_decreasing_density():
         sample_age(0.4, 2.0, rng)
 
 
+def _w(path):
+    return w_row(path.row(0), path.lam, path.dt)
+
+
 def test_aggregate_constant_path(zero_draws):
     # X == 0 path: dW == 0, so only the deterministic age terms survive
     params, _ = build_defaults()
-    consts = derive_constants(params)
     n = 20_000
     from dynastyprice.ou import SimPath
     flat = SimPath(t0=-20.0, dt=1e-3, lam=params.lam, n_paths=1, n_steps=n,
                    seed=0)
-    mean, se = aggregate_log_lambda(50_000, params, consts, flat, seed=11,
+    mean, se = aggregate_log_lambda(50_000, params, flat, _w(flat), seed=11,
                                     alpha_std=0.0)
     # log Lambda = (1/2) log(eps/(eps+u)) - eps alpha^2 u / (2 (eps+u))
     rng = substream(11)
@@ -138,7 +141,7 @@ def test_aggregate_age_window_guard():
     short = simulate(SimConfig(n_paths=1, n_steps=100, dt=1e-3, seed=2),
                      params, consts)
     with pytest.raises(AgeExceedsPathError):
-        aggregate_log_lambda(10_000, params, consts, short, seed=8)
+        aggregate_log_lambda(10_000, params, short, _w(short), seed=8)
 
 
 def test_aggregate_se_scales_with_population():
@@ -146,6 +149,7 @@ def test_aggregate_se_scales_with_population():
     consts = derive_constants(params)
     path = simulate(SimConfig(n_paths=1, n_steps=20_000, dt=1e-3, seed=13),
                     params, consts, t0=-20.0)
-    _, se_small = aggregate_log_lambda(20_000, params, consts, path, seed=3)
-    _, se_big = aggregate_log_lambda(40_000, params, consts, path, seed=3)
+    ws = _w(path)
+    _, se_small = aggregate_log_lambda(20_000, params, path, ws, seed=3)
+    _, se_big = aggregate_log_lambda(40_000, params, path, ws, seed=3)
     assert se_small / se_big == pytest.approx(np.sqrt(2.0), rel=0.10)

@@ -277,6 +277,7 @@ def test_overflowing_state_exits_numerical(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["price", "--set", "x=1e200"],
+    ["price", "--set", "x=-60"],
     ["volsurf", "--x-from", "1e200", "--x-to", "1e200", "--x-steps", "1",
      "--u-steps", "1"],
     ["price", "--set", "epsilon=1e300"],
@@ -288,6 +289,20 @@ def test_overflowing_state_prints_one_stderr_line(argv):
     # the failure is reported on one line, without RuntimeWarnings ahead
     # of it, and a non-finite result is never printed as a success
     assert_one_stderr_line(run_fresh(argv), 3, "numerical failure: ")
+
+
+def test_numerical_errors_share_one_base():
+    # cli.main maps NumericalError to exit 3
+    from dynastyprice.beliefs import AgeExceedsPathError
+    from dynastyprice.model import NumericalError
+    from dynastyprice.odes import DegenerateGError, StepSizeUnderflowError
+    from dynastyprice.oracles import OverflowGuardError
+    from dynastyprice.pricing import (DivergentIntegralError,
+                                      QuadratureToleranceError)
+    for cls in (DegenerateGError, StepSizeUnderflowError,
+                DivergentIntegralError, QuadratureToleranceError,
+                OverflowGuardError, AgeExceedsPathError):
+        assert issubclass(cls, NumericalError), cls.__name__
 
 
 def test_volsurf_infinite_axis_end_prints_one_stderr_line():

@@ -18,9 +18,8 @@ from dynastyprice import odes, pricing
 from dynastyprice.calibration import build_defaults
 from dynastyprice.odes import G_FLOOR, OdeInputs, OdeSolution, abc_eval
 from dynastyprice.pricing import (MAX_NODES, REL_TOL, DivergentIntegralError,
-                                  QuadratureToleranceError, _simpson_weights,
-                                  _solve_grid, _stock_and_s_x, _u_part,
-                                  _x_part)
+                                  QuadratureToleranceError, _rule,
+                                  _solve_grid, _stock_and_s_x)
 
 
 @pytest.fixture(scope="module")
@@ -29,17 +28,22 @@ def defaults():
     return params, state, derive_constants(params)
 
 
+def _simpson(sol, params):
+    """The closed Simpson column of the rule, as an (N, 1) weight matrix."""
+    return _rule(sol.taus, params.rho)[:, :1]
+
+
 def _stock_at(x, u, sol, params, consts):
-    return _stock_and_s_x(np.array([x]), np.array([u]), sol, params,
-                          consts)[0][0, 0]
+    return _stock_and_s_x([x], [u], sol, params, consts,
+                          _simpson(sol, params))[0][0, 0, 0]
 
 
 def _richardson_slope(x, u, sol, params, consts, dx=1e-4):
     # centred differences of S at bumps dx and dx/2, extrapolated; S comes
     # from the F rows of the evaluator, a separate formula from its F_x
     s, _ = _stock_and_s_x(x + np.array([dx, -dx, 0.5 * dx, -0.5 * dx]),
-                          np.array([u]), sol, params, consts)
-    s = s[:, 0]
+                          [u], sol, params, consts, _simpson(sol, params))
+    s = s[:, 0, 0]
     return (4.0 * (s[2] - s[3]) / dx - (s[0] - s[1]) / (2.0 * dx)) / 3.0
 
 
@@ -111,11 +115,15 @@ def test_reported_stock_error_bounds_true_error(over):
     rp, params = ref.Params(**kw), ModelParams(**kw)
     x = 2.01
     u = ref.stationary_u(rp, x)
-    s_ref = float(ref.quotes(rp, [x], [u]).stock[0])
-    rep = stock_price(MarketState(x, u), params, derive_constants(params))
+    q = ref.quotes(rp, [x], [u])
+    s_ref, sx_ref = float(q.stock[0]), float(q.stock_x[0])
+    state, consts = MarketState(x, u), derive_constants(params)
+    rep = stock_price(state, params, consts)
     err = abs(rep.stock - s_ref)
     assert err <= rep.integrand_tail + rep.grid_error
     assert err <= 1e-8 * s_ref
+    assert abs(rep.stock_x - sx_ref) <= 1e-6 * abs(rep.stock_x)
+    assert volatility(state, params, consts) == rep.stock_x / rep.stock
 
 
 def test_stock_deterministic(defaults):
@@ -228,10 +236,11 @@ def test_surface_memory_independent_of_x_count(defaults):
         finally:
             tracemalloc.stop()
 
+    w = _simpson(sol, params)
     few = peak(_stock_and_s_x, np.linspace(1.2, 2.0, 4), us, sol, params,
-               consts)
+               consts, w)
     xs = np.linspace(1.2, 2.0, 40)
-    many = peak(_stock_and_s_x, xs, us, sol, params, consts)
+    many = peak(_stock_and_s_x, xs, us, sol, params, consts, w)
     assert many < bound
     assert many - few < node_bytes
     # one (n_x, N) matrix, as a joint-exponent pass over all x would hold
@@ -253,9 +262,9 @@ def test_drift_decomposition(defaults):
     a_star = 2.01
     mu = drift_star(state, a_star, params, consts)
     sol = _solve_grid(state, params, consts)[0]
-    s, s_x = _stock_and_s_x(np.array([state.x]), np.array([state.u]), sol,
-                            params, consts)
-    h, h_x = s[0, 0], s_x[0, 0]
+    s, s_x = _stock_and_s_x([state.x], [state.u], sol, params, consts,
+                            _simpson(sol, params))
+    h, h_x = s[0, 0, 0], s_x[0, 0, 0]
     coef = consts.lam * a_star - 2.0 * consts.spd_quad * state.x - consts.spd_lin
     want = (short_rate(state, consts) * h - dividend(state.x, params)
             + coef * h_x) / h
@@ -282,15 +291,11 @@ def test_drift_against_one_step_simulation(defaults):
     u1 = state.u * decay + 0.25 * consts.age_norm * lam * dt * (
         decay * state.x ** 2 + x1 ** 2)
 
-    # S at each (x1, u1) pair: the pairs share no axis, so one x part and
-    # one u part per state
-    w = _simpson_weights(sol.taus.size, sol.taus[1] - sol.taus[0],
-                         params.rho)
-    f = np.empty((2, sol.taus.size))
-    s1 = np.empty(n)
-    for i in range(n):
-        _x_part(x1[i], sol, params, consts, f)
-        s1[i] = f[0] @ (w * _u_part([u1[i]], sol, consts)[0])
+    # S at each (x1, u1) pair: the pairs share no axis, so one evaluator
+    # call per state
+    w = _simpson(sol, params)
+    s1 = np.array([_stock_and_s_x([x1[i]], [u1[i]], sol, params, consts,
+                                  w)[0][0, 0, 0] for i in range(n)])
     # control variate: remove the h_x (X - E X) fluctuation, mean known = 0
     h_x = _richardson_slope(state.x, state.u, sol, params, consts)
     mean_x1 = a_star + (state.x - a_star) * decay
@@ -331,15 +336,13 @@ def test_pde_residual_memory_bounded(defaults):
 
 def test_pde_u_direction_semi_analytic(defaults):
     # u enters S only through exp(-(1 - e^{-lam tau}) u); compare the
-    # centred h_u against the exact weighted integral
+    # centred h_u against the exact weighted integral, the evaluator's
+    # contraction against the Simpson weights times -(1 - e^{-lam tau})
     params, state, consts = defaults
     sol = _solve_grid(state, params, consts)[0]
-    f = np.empty((2, sol.taus.size))
-    _x_part(state.x, sol, params, consts, f)
-    integ = f[0] * _u_part([state.u], sol, consts)[0]
-    w = _simpson_weights(len(sol.taus), sol.taus[1] - sol.taus[0],
-                         params.rho)
-    exact_hu = -np.sum(w * integ * (1.0 - np.exp(-params.lam * sol.taus)))
+    w_u = _simpson(sol, params) * np.expm1(-params.lam * sol.taus)[:, None]
+    exact_hu = _stock_and_s_x([state.x], [state.u], sol, params, consts,
+                              w_u)[0][0, 0, 0]
     du = 1e-3
     up = _stock_at(state.x, state.u + du, sol, params, consts)
     um = _stock_at(state.x, state.u - du, sol, params, consts)
@@ -478,6 +481,22 @@ def test_overflowing_state_is_not_priced(defaults):
             stock_price(MarketState(1e200, 1.0), params, consts)
         with pytest.raises(DivergentIntegralError):
             volatility_grid([1.5, 1.6, 1e200], [1.0], params, consts)
+
+
+def test_far_state_priced_or_refused_without_warning(defaults):
+    # at x = -40 the price is near 1e165 and finite; the sign-change flag
+    # is read off the tilt factor, so no product of integrand values
+    # overflows.  At x = -60 the integrand overflows and the evaluator
+    # refuses the state, also without a numpy warning first.
+    params, _, consts = defaults
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = stock_price(MarketState(-40.0, expected_u(-40.0, params, consts)),
+                          params, consts)
+        assert math.isfinite(rep.stock) and math.isfinite(rep.stock_x)
+        with pytest.raises(DivergentIntegralError, match="x=-60"):
+            stock_price(MarketState(-60.0, expected_u(-60.0, params, consts)),
+                        params, consts)
 
 
 def test_sign_change_flag_with_linear_dividend():

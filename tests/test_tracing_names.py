@@ -13,6 +13,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import dynastyprice
 from dynastyprice import (OdeInputs, OracleConfig, PriceReport, SimConfig,
                           SimPath)
@@ -70,3 +72,15 @@ def test_verify_operations_run_at_small_sizes(monkeypatch):
     for op in ops:
         status, _ = op.check(op.run())
         assert status in (wl.OK, wl.INACCURATE), op.kind
+
+
+@pytest.mark.parametrize("workload", ["quote", "surface"])
+def test_pricing_operations_pass_their_checks(monkeypatch, workload):
+    # one round of each pricing workload at benchmark size, run and
+    # checked as the benchmark does: a renamed report field or a lost
+    # digit fails here before it fails every benchmark operation
+    monkeypatch.syspath_prepend(str(BENCH))
+    wl = _bench("workloads")
+    for op in wl.ROUNDS[workload](0, 0):
+        status, acc = op.check(op.run())
+        assert status == wl.OK, (op.kind, acc)
