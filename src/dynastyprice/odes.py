@@ -7,7 +7,7 @@ exp(a(tau) x^2 / 2 + b(tau) x + c(tau)) where the three functions solve
     db/dtau     = a b - lam b
     dc/dtau     = (a + b^2) / 2
 
-with a(0) = 2(spd_quad + theta a2), b(0) = spd_lin + theta a1 and
+with a(0) = 2(spd_quad + theta a2), b(0) = b0 = spd_lin + theta a1 and
 c(0) = theta a0; theta is an exponential tilt on the terminal dividend
 whose derivative at 0 produces the dividend-weighted expectations that
 price the stock.  The Riccati equation linearises through a = -g'/g into
@@ -17,20 +17,35 @@ argument z(u) = z0 e^{-lam u / 2}, z0 = 2 sqrt(A/lam):
     g(u)  = e^{-lam u} [alpha J2(z) - beta Y2(z)]
     g'(u) = -(lam z / 2) e^{-lam u} [alpha J1(z) - beta Y1(z)]
 
-The identity J1 Y2 - J2 Y1 = -2/(pi z) forces g(0) = lam/pi for every
-admissible parameter set.  Everything is evaluated through the scaled
-combinations z^2 J2, z^2 * (z Y1), z^2 Y2, which stay representable even
-when e^{-lam u} underflows.  c(tau) is closed form too:
+The identity J1 Y2 - J2 Y1 = -2/(pi z) forces g(0) = g0 = lam/pi for
+every admissible parameter set.  Everything is evaluated through the
+scaled combinations z^2 J2, z^2 * (z Y1), z^2 Y2, which stay
+representable even when e^{-lam u} underflows.  b and c are closed too:
 
-    c = theta a0 - log(g / g(0)) / 2 + (b(0) g(0))^2 I / 2,
+    b = b0 mu1,  c = theta a0 - log(g / g0) / 2 + b0^2 v / 2,
+    mu1 = g0 e^{-lam tau} / g,  v = g0^2 I,
     I(tau) = int_0^tau e^{-2 lam t} / g^2 dt = [h / g]_0^tau / K,
 
 with the companion h = e^{-lam u} [beta J2(z) + alpha Y2(z)], g rotated
 by 90 degrees in the (J2, Y2) basis.  Both solve g'' + 2 lam g'
 + lam A e^{-lam u} g = 0, so g h' - g' h = K e^{-2 lam u} with
 K = -(lam/pi)(alpha^2 + beta^2) (W{J2, Y2} = 2/(pi z), DLMF 10.5), which
-never vanishes since g(0) != 0.  The adaptive integrator here exists
-purely as an independent cross-check.
+never vanishes since g(0) != 0.
+
+The tilt derivatives need no derivative of any coefficient: dg solves
+the same linear equation with dg(0) = 0 (g(0) = lam/pi at every theta)
+and dg'(0) = -2 a2 g0, so by Abel's identity g dg' - g' dg =
+-2 a2 g0^2 e^{-2 lam u}, dg / g = -2 a2 v, and with mu0 = b0 v
+
+    da = 2 a2 mu1^2,  db = mu1 (a1 + 2 a2 mu0),
+    dc = a0 + a1 mu0 + a2 (mu0^2 + v).
+
+The tilt factor da x^2 / 2 + db x + dc is then a0 + a1 m + a2 (m^2 + v)
+= E^tau[delta(X_tau)], m = mu1 x + mu0: under the tau-forward measure
+(the tau-bond as numeraire; Geman, El Karoui & Rochet, J. Appl. Probab.
+1995) X_tau is Normal with mean m and variance v.  Each term is a
+product of forward moments, so da ~ e^{-2 lam tau} keeps its relative
+accuracy.  The adaptive integrator here is purely a cross-check.
 
 In the known-parameter limit the forcing term vanishes (A = 0) and g is
 elementary: g(u) = p + q e^{-2 lam u}, with companion
@@ -94,8 +109,8 @@ class OdeSolution:
 
 def _bessel_coefficients(theta: float, params: ModelParams,
                          consts: DerivedConstants):
-    """z0, the coefficients alpha, beta of g in the (J2, Y2) basis and
-    their tilt derivatives (A > 0)."""
+    """z0 and the coefficients alpha, beta of g in the (J2, Y2) basis
+    (A > 0)."""
     lam, big_a = consts.lam, consts.age_norm
     chat = consts.spd_quad + theta * params.a2
     z0 = 2.0 * np.sqrt(big_a / lam)
@@ -103,8 +118,7 @@ def _bessel_coefficients(theta: float, params: ModelParams,
     j1_0, j2_0, w1_0, w2_0 = bessel.jy_scaled(z0)
     y1_0, y2_0 = w1_0 / z0, w2_0 / (z0 * z0)
     return (z0, sqrt_la * y1_0 - 2.0 * chat * y2_0,
-            sqrt_la * j1_0 - 2.0 * chat * j2_0,
-            -2.0 * params.a2 * y2_0, -2.0 * params.a2 * j2_0)
+            sqrt_la * j1_0 - 2.0 * chat * j2_0)
 
 
 def g_infinity(params: ModelParams, consts: DerivedConstants) -> float:
@@ -115,7 +129,7 @@ def g_infinity(params: ModelParams, consts: DerivedConstants) -> float:
     if consts.age_norm == 0.0:
         margin = (consts.lam / np.pi) * (1.0 - consts.spd_quad / consts.lam)
     else:
-        z0, _, beta, _, _ = _bessel_coefficients(0.0, params, consts)
+        z0, _, beta = _bessel_coefficients(0.0, params, consts)
         margin = 4.0 * beta / (np.pi * z0 * z0)
     if not margin >= G_FLOOR:
         raise DegenerateGError(f"g vanishes on [0, inf): g(inf) = "
@@ -124,11 +138,10 @@ def g_infinity(params: ModelParams, consts: DerivedConstants) -> float:
 
 
 def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
-    """g, g', dg, dg', the companion h, dh, and the Wronskian constant K,
-    dK (d = tilt derivative) on an array of times u >= 0."""
+    """g, g', the companion h and the Wronskian constant K on an array of
+    times u >= 0."""
     lam = consts.lam
-    a2 = params.a2
-    chat = consts.spd_quad + theta * a2
+    chat = consts.spd_quad + theta * params.a2
     u = np.asarray(u, dtype=float)
 
     if consts.age_norm == 0.0:
@@ -137,19 +150,10 @@ def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
         e = np.exp(-2.0 * lam * u)
         q = chat * g0 / lam
         p = g0 - q
-        dq = a2 * g0 / lam
-        g = p + q * e
-        gdot = -2.0 * lam * q * e
-        dg = dq * (e - 1.0)
-        dgdot = -2.0 * a2 * g0 * e
-        h = -q + p * e
-        dh = -dq * (1.0 + e)
-        big_k = -2.0 * lam * (p * p + q * q)
-        dk = -4.0 * lam * dq * (q - p)
-        return g, gdot, dg, dgdot, h, dh, big_k, dk
+        return (p + q * e, -2.0 * lam * q * e, -q + p * e,
+                -2.0 * lam * (p * p + q * q))
 
-    z0, alpha, beta, dalpha, dbeta = _bessel_coefficients(theta, params,
-                                                          consts)
+    z0, alpha, beta = _bessel_coefficients(theta, params, consts)
     z = z0 * np.exp(-0.5 * lam * u)
     z2 = z * z
     # J1, J2, z Y1 and z^2 Y2 from one series pass; z <= z0 <= sqrt(2)
@@ -161,13 +165,9 @@ def _g_derivs(u, theta: float, params: ModelParams, consts: DerivedConstants):
     inv = 1.0 / (z0 * z0)
     g = inv * (alpha * z2 * j2_z - beta * w2_z)
     gdot = -0.5 * lam * inv * (alpha * z2 * z * j1_z - beta * z2 * w1_z)
-    dg = inv * (dalpha * z2 * j2_z - dbeta * w2_z)
-    dgdot = -0.5 * lam * inv * (dalpha * z2 * z * j1_z - dbeta * z2 * w1_z)
     h = inv * (beta * z2 * j2_z + alpha * w2_z)
-    dh = inv * (dbeta * z2 * j2_z + dalpha * w2_z)
     big_k = -(lam / np.pi) * (alpha * alpha + beta * beta)
-    dk = -(2.0 * lam / np.pi) * (alpha * dalpha + beta * dbeta)
-    return g, gdot, dg, dgdot, h, dh, big_k, dk
+    return g, gdot, h, big_k
 
 
 def _check_g(u, g, theta: float, params: ModelParams,
@@ -195,7 +195,7 @@ def _check_g(u, g, theta: float, params: ModelParams,
 
 
 def g_closed(u, theta: float, params: ModelParams, consts: DerivedConstants):
-    """(g, g') at times u >= 0; raises DegenerateGError where g < 1e-12."""
+    """(g, g') at times u >= 0; raises DegenerateGError where g < G_FLOOR."""
     g, gdot, *_ = _g_derivs(u, theta, params, consts)
     _check_g(u, g, theta, params, consts)
     return g, gdot
@@ -203,33 +203,27 @@ def g_closed(u, theta: float, params: ModelParams, consts: DerivedConstants):
 
 @np.errstate(all="ignore")     # _check_g and the callers reject inf and NaN
 def abc_eval(inputs: OdeInputs) -> OdeSolution:
-    """Evaluate a, b, c and tilt derivatives from the closed forms."""
+    """Evaluate a, b, c and their tilt derivatives from the closed forms."""
     params, consts, theta = inputs.params, inputs.consts, inputs.theta
-    lam = consts.lam
     taus = np.linspace(0.0, inputs.tau_max, inputs.n_grid)
 
-    g, gdot, dg, dgdot, h, dh, big_k, dk = _g_derivs(taus, theta, params,
-                                                     consts)
+    g, gdot, h, big_k = _g_derivs(taus, theta, params, consts)
     _check_g(taus, g, theta, params, consts)
 
+    a0, a1, a2 = params.a0, params.a1, params.a2
+    g0 = g[0]
+    b0 = consts.spd_lin + theta * a1
+    # forward moments of X_tau: mean mu1 x + mu0 and variance v = g0^2 I
+    mu1 = g0 * np.exp(-consts.lam * taus) / g
+    v = g0 * g0 * (h / g - h[0] / g0) / big_k
+    mu0 = b0 * v
+
     a = -gdot / g
-    da = -dgdot / g + gdot / (g * g) * dg
-
-    b0 = consts.spd_lin + theta * params.a1
-    emlt = np.exp(-lam * taus)
-    b = b0 * g[0] * emlt / g
-    db = (params.a1 * g[0] * emlt / g
-          + b0 * emlt * (dg[0] / g - g[0] / (g * g) * dg))
-
-    # I = int_0^tau e^{-2 lam t} / g^2 dt from the Wronskian of g and h
-    big_i = (h / g - h[0] / g[0]) / big_k
-    d_ratio = dh / g - h / (g * g) * dg
-    d_big_i = (d_ratio - d_ratio[0] - big_i * dk) / big_k
-    bg0 = b0 * g[0]
-    c = theta * params.a0 - 0.5 * np.log(g / g[0]) + 0.5 * bg0 * bg0 * big_i
-    dc = (params.a0 - 0.5 * (dg / g - dg[0] / g[0])
-          + b0 * params.a1 * g[0] * g[0] * big_i + 0.5 * bg0 * bg0 * d_big_i)
-
+    b = b0 * mu1
+    c = theta * a0 - 0.5 * np.log(g / g0) + 0.5 * b0 * mu0
+    da = 2.0 * a2 * mu1 * mu1
+    db = mu1 * (a1 + 2.0 * a2 * mu0)
+    dc = a0 + a1 * mu0 + a2 * (mu0 * mu0 + v)
     return OdeSolution(taus=taus, a_vals=a, b_vals=b, c_vals=c,
                        da_vals=da, db_vals=db, dc_vals=dc)
 

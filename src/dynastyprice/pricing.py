@@ -1,15 +1,17 @@
 """Stock price, bond price, volatility, drift, and PDE-residual checks.
 
-The stock price is the tilt derivative of the exponential-quadratic
-transform, integrated over maturities:
+The stock price is a portfolio of dividend strips, the bond of each
+maturity times the dividend expected under that maturity's forward
+measure:
 
-    S(x, u) = e^{-spd_lin x - spd_quad x^2} *
-        int_0^inf e^{-rho tau - (1 - e^{-lam tau}) u}
-                  (da/2 x^2 + db x + dc) e^{a/2 x^2 + b x + c} dtau
+    S(x, u) = int_0^inf P(tau; x, u) E^tau[delta(X_tau)] dtau,
+    P = e^{(a/2 - spd_quad) x^2 + (b - spd_lin) x + c - rho tau
+           - (1 - e^{-lam tau}) u},
 
-It is finite iff the Riccati denominator g stays positive on every
-maturity, which `odes.g_infinity` decides from the parameters before any
-node is evaluated.
+with E^tau[delta(X_tau)] = da/2 x^2 + db x + dc, the tilt factor of
+`odes`.  S is finite iff the Riccati denominator g stays positive on
+every maturity, which `odes.g_infinity` decides from the parameters
+before any node is evaluated.
 
 `_rule` alone knows the quadrature: composite Simpson on the closed-form
 grid, closed by its exact tail (past the transient, rate lam, the
@@ -75,7 +77,8 @@ class PriceReport:
 def _rule(taus: np.ndarray, rho: float) -> np.ndarray:
     """(N, 3) weights on the uniform grid taus: composite Simpson plus
     1/rho on the last node for the e^{-rho tau} tail beyond it; the same
-    rule on every other node; and the last node alone."""
+    rule on every other node; and the last node alone.  The first column
+    needs N odd, the second N = 1 (mod 4)."""
     h = taus[1] - taus[0]
     w = np.zeros((3, taus.size))    # each column contiguous
     for col, step in ((w[0], h), (w[1, ::2], 2 * h)):
@@ -151,8 +154,9 @@ def _solve_grid(state: MarketState, params: ModelParams,
     g_infinity(params, consts)
     tau_max = max(10.0 / params.rho, 20.0 / params.lam)
     # density h ~ 0.005 resolves the maturity integrand's transients on the
-    # 1/lam scale for the Simpson rule (odd count); refinement does the rest
-    n_grid = max(2001, math.ceil(tau_max / 0.005)) | 1
+    # 1/lam scale; refinement does the rest.  N = 1 (mod 4) gives both
+    # Simpson rules of `_rule` an odd node count, and doubling keeps it
+    n_grid = 1 + 4 * math.ceil(max(2000.0, tau_max / 0.005) / 4)
 
     while True:
         if n_grid > MAX_NODES:
@@ -183,7 +187,7 @@ def _solve_grid(state: MarketState, params: ModelParams,
             # past the transient the integrand decays at exactly rate rho
             extra = math.log(tail / tol) / params.rho
             new_tau = tau_max + 1.1 * extra
-            n_grid = 1 + 2 * math.ceil((n_grid - 1) / 2 * new_tau / tau_max)
+            n_grid = 1 + 4 * math.ceil((n_grid - 1) / 4 * new_tau / tau_max)
             tau_max = new_tau
         if need_grid:
             n_grid = 2 * n_grid - 1

@@ -276,6 +276,55 @@ def test_theta_derivatives_match_finite_differences(defaults):
         assert rel < 1e-5, f"{dname}: {rel:.2e}"
 
 
+# da, db, dc at tau = k / lam, k = 1, 10, 20, 30, for the defaults with
+# a0 = 0.3 and a1 = -0.4 at theta = 0: mp.diff in theta of the closed-form
+# a, b and c (Bessel coefficients and the integral I through h / g, all
+# at 40 digits), rounded to 30 digits
+_LONG_TILT = {
+    "bessel": (
+        (1, 2.70684417150503477812612325364e-1,
+         8.93017616893641041023724916367e-2,
+         4.83956449180655633892030840087e-1),
+        (10, 4.95255201152659228494714056651e-9,
+         1.75204745404019298259225712414e-5,
+         5.35809816710227878852605548056e-1),
+        (20, 1.02082794805145277747311979885e-17,
+         7.9544035524257859003407761664e-10,
+         5.3580981766409969197664177217e-1),
+        (30, 2.1040832259038664151060909185e-26,
+         3.61129362830693774945389363602e-14,
+         5.35809817664099693942757787577e-1)),
+    "forcing_vanishes": (
+        (1, 1.8430979590932580537005686182e-1,
+         1.17482903808186415217317858837e-1,
+         4.75821086564504894276071244756e-1),
+        (10, 2.65951016804322624979941711711e-9,
+         1.77203318878991549865039400593e-5,
+         5.19838550302302560781235758351e-1),
+        (20, 5.48165901232765798324577850041e-18,
+         8.04501825180450247258629852239e-10,
+         5.19838550991113021876551180399e-1),
+        (30, 1.12985413302321193541489440026e-26,
+         3.65243263569833083430908744152e-14,
+         5.19838550991113023296295357992e-1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_TILT))
+def test_tilt_derivatives_at_long_maturities(case):
+    # da ~ e^{-2 lam tau} falls far below the RK45 tolerances of
+    # abc_numeric, so only fixed high-precision values pin it there
+    params = replace(build_defaults()[0], a0=0.3, a1=-0.4)
+    consts = (derive_constants(params) if case == "bessel"
+              else dynastyprice.limit_constants(params))
+    for k, *want in _LONG_TILT[case]:
+        sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                                 tau_max=k / params.lam, n_grid=2))
+        got = (sol.da_vals[-1], sol.db_vals[-1], sol.dc_vals[-1])
+        for name, g, w in zip(("da", "db", "dc"), got, want):
+            assert g == pytest.approx(w, rel=1e-13, abs=0.0), (name, k)
+
+
 def test_c_increments_track_integrand_sign(defaults):
     params, consts = defaults
     sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,

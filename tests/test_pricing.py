@@ -19,7 +19,8 @@ from dynastyprice.calibration import build_defaults
 from dynastyprice.odes import G_FLOOR, OdeInputs, OdeSolution, abc_eval
 from dynastyprice.pricing import (MAX_NODES, REL_TOL, DivergentIntegralError,
                                   QuadratureToleranceError, _rule,
-                                  _solve_grid, _stock_and_s_x)
+                                  _solve_grid, _stock_and_s_x, _tilt,
+                                  _x_part)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,39 @@ def test_reported_stock_error_bounds_true_error(over):
     assert err <= 1e-8 * s_ref
     assert abs(rep.stock_x - sx_ref) <= 1e-6 * abs(rep.stock_x)
     assert volatility(state, params, consts) == rep.stock_x / rep.stock
+
+
+def test_refined_grid_closes_the_half_rule(defaults):
+    # at rho = 0.08 the refinement jumps the horizon; the jump must keep
+    # N = 1 (mod 4), or the half rule sees an even node count and its
+    # weights stop 2h short of tau_max (a spurious grid_error term)
+    params, state, _ = defaults
+    params = replace(params, rho=0.08)
+    sol, report = _solve_grid(state, params, derive_constants(params))
+    assert report.n_grid % 4 == 1
+    w = _rule(sol.taus, params.rho)
+    for col in (0, 1):
+        assert w[:, col].sum() == pytest.approx(
+            report.tau_max + 1.0 / params.rho, rel=1e-13)
+
+
+@pytest.mark.parametrize("limit", [False, True], ids=["defaults", "A=0"])
+def test_stock_integrand_is_bond_times_forward_dividend(defaults, limit):
+    # S = int P(tau) E^tau[delta(X_tau)] dtau: at each maturity the
+    # integrand is the zero-coupon bond times the tilt factor
+    params, state, consts = defaults
+    if limit:
+        consts = limit_constants(params)
+    f = np.empty((2, 2))
+    for k in (0.5, 2.0, 10.0):
+        tau = k / params.lam
+        sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                                 tau_max=tau, n_grid=2))
+        _x_part(state.x, sol, params, consts, f)
+        got = f[0, -1] * math.exp(math.expm1(-params.lam * tau) * state.u)
+        want = (bond_price(state, tau, params, consts)
+                * _tilt(state.x, sol)[-1])
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_stock_deterministic(defaults):
