@@ -17,10 +17,13 @@ before any node is evaluated.
 grid, closed by its exact tail (past the transient, rate lam, the
 integrand decays at exactly rate rho, so the rest is f(tau_max)/rho);
 the same rule on every other node; and the last node alone.  The
-integrand is an x part F(x, tau) times the u part
-G(u, tau) = e^{-(1 - e^{-lam tau}) u}, and F_x is closed form, so S_x
-needs no bumps; `_stock_and_s_x` alone forms F G, contracting F and F_x
-against G times each weight column it is given.  `_solve_grid` refines
+integrand is an x part F = e^q t, whose exponent q and tilt t are
+polynomials in x, times the u part G = e^{-(1 - e^{-lam tau}) u}; F_x is
+closed form, so S_x needs no bumps.  `_stock_and_s_x` alone forms F G:
+per block of nodes, one product of every x's rows (x^2, x, 1) and
+(2x, 1, 0) with the nodes' coefficients gives F and F_x, contracted
+against G times each weight column, in scratch of bounded size.
+`_solve_grid` refines
 one state's grid from horizon max(10/rho, 20/lam) and spacing 0.005
 until the integrand left at the horizon (``integrand_tail``) and the
 Richardson estimate meet REL_TOL, within MAX_NODES nodes (the horizon
@@ -52,6 +55,7 @@ from .odes import OdeInputs, OdeSolution, abc_eval, g_infinity
 # within 1/(lam u) of tau = 0) fails in seconds, not minutes.
 MAX_NODES = 2 ** 21 + 1
 REL_TOL = 1e-8      # met by the tail and by the Richardson estimate alike
+BLOCK = 2 ** 14     # sizes the blocks of `_stock_and_s_x`; cache-sized
 
 
 class DivergentIntegralError(NumericalError):
@@ -95,57 +99,66 @@ def _tilt(x: float, sol: OdeSolution) -> np.ndarray:
     return (0.5 * x * x) * sol.da_vals + x * sol.db_vals + sol.dc_vals
 
 
-def _x_part(x: float, sol: OdeSolution, params: ModelParams,
-            consts: DerivedConstants, out: np.ndarray) -> None:
-    """Fill out[0] with F(x, tau) and out[1] with its closed-form F_x:
-
-        F = e^{-spd_lin x - spd_quad x^2 + a x^2/2 + b x + c - rho tau} tilt
-        F_x = e^{...} [(x da + db) + tilt (a x + b - spd_lin - 2 spd_quad x)]
-
-    An overflowing state leaves inf or NaN in out; the caller silences
-    numpy's warnings and checks finiteness.
-    """
-    tilt = _tilt(x, sol)
-    efac = np.exp((0.5 * x * x) * sol.a_vals + x * sol.b_vals
-                  + (sol.c_vals - params.rho * sol.taus)
-                  - (consts.spd_lin * x + consts.spd_quad * x * x))
-    np.multiply(efac, tilt, out=out[0])
-    tilt *= x * sol.a_vals + (sol.b_vals - consts.spd_lin
-                              - 2.0 * consts.spd_quad * x)
-    tilt += x * sol.da_vals + sol.db_vals
-    np.multiply(efac, tilt, out=out[1])
-
-
 def _stock_and_s_x(xs, us, sol: OdeSolution, params: ModelParams,
                    consts: DerivedConstants, w: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """S and S_x on the outer product of xs and us, against each of the k
     weight columns of the (N, k) matrix w: two (len(xs), len(us), k) arrays.
 
-    Each is the product of F (or F_x), one row per x, with G times each
-    weight column, one row per (u, column).  F and F_x are filled one x
-    at a time, so scratch memory is O((k len(us) + c) N) whatever len(xs).
+    At each node the exponent q = (a/2 - spd_quad) x^2 + (b - spd_lin) x
+    + c - rho tau and the tilt t = da/2 x^2 + db x + dc are polynomials in
+    x, so for a block of xs and a block of nodes one product of the xs'
+    rows (2x, 1, 0) and (x^2, x, 1) with the nodes' coefficients gives
+    q_x, q, t_x and t, with no loop over x.  Then F = e^q t and
+    F_x = e^q (t q_x + t_x), times G w with one column per (u, weight
+    column), add the block's share.  A block holds at most BLOCK nodes,
+    BLOCK (x, node) pairs and BLOCK (u, column, node) triples, so scratch
+    stays near a dozen BLOCK floats, whatever N and len(xs).
     """
-    n = sol.taus.size
-    # G = e^{-(1 - e^{-lam tau}) u} lies in (e^{-u}, 1] for u >= 0, so
-    # splitting it from F underflows nothing the joint exponential keeps
-    gw = np.empty((len(us), w.shape[1], n))
-    np.multiply.outer(us, np.expm1(-consts.lam * sol.taus), out=gw[:, 0])
-    np.exp(gw[:, :1], out=gw)       # G in every weight column, in place
-    gw *= w.T
-    gw = gw.reshape(-1, n)
-    f = np.empty((2, n))
-    out = np.empty((2, len(xs), len(us), w.shape[1]))
+    xs, us = np.asarray(xs, dtype=float), np.asarray(us, dtype=float)
+
+    def node_block(rows: np.ndarray, s: slice) -> np.ndarray:
+        """[S_x; S] over the nodes s alone: (2 n_x, len(us) k)."""
+        coef = np.empty((2, 3, sol.taus[s].size))   # q and t, by row
+        np.subtract(0.5 * sol.a_vals[s], consts.spd_quad, out=coef[0, 0])
+        np.subtract(sol.b_vals[s], consts.spd_lin, out=coef[0, 1])
+        np.subtract(sol.c_vals[s], params.rho * sol.taus[s], out=coef[0, 2])
+        np.multiply(sol.da_vals[s], 0.5, out=coef[1, 0])
+        coef[1, 1:] = sol.db_vals[s], sol.dc_vals[s]
+        # G = e^{-(1 - e^{-lam tau}) u} lies in (e^{-u}, 1] for u >= 0, so
+        # splitting it from F underflows nothing the joint exponential keeps
+        gw = np.empty((us.size, w.shape[1], coef.shape[2]))
+        np.multiply.outer(us, np.expm1(-consts.lam * sol.taus[s]),
+                          out=gw[:, 0])
+        np.exp(gw[:, :1], out=gw)   # G in every weight column, in place
+        gw *= w[s].T
+        res = rows @ coef           # [q_x; q] and [t_x; t]
+        (q_x, q), (t_x, t) = res.reshape(2, 2, -1, coef.shape[2])
+        np.exp(q, out=q)
+        q_x *= t
+        q_x += t_x
+        q_x *= q                    # F_x = e^q (t q_x + t_x)
+        q *= t                      # F = e^q t
+        return res[0] @ gw.reshape(-1, coef.shape[2]).T
+
+    nb = min(xs.size, math.isqrt(BLOCK))        # xs per block
+    step = max(1, BLOCK // max(nb, us.size * w.shape[1]))   # nodes
+    out = np.zeros((2, xs.size, us.size, w.shape[1]))     # S_x, S
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(xs):
-            _x_part(x, sol, params, consts, f)
-            out[:, i] = (f @ gw.T).reshape(out[:, i].shape)
+        for i in range(0, xs.size, nb):
+            x = xs[i:i + nb]
+            rows = np.zeros((2 * x.size, 3))    # (2x, 1, 0); (x^2, x, 1)
+            rows[:x.size, :2] = np.vander(x, 2) * (2.0, 1.0)
+            rows[x.size:] = np.vander(x, 3)
+            for j in range(0, sol.taus.size, step):
+                part = node_block(rows, slice(j, j + step))
+                out[:, i:i + nb] += part.reshape(2, x.size, us.size, -1)
     bad = ~np.isfinite(out).all(axis=(0, 3))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise DivergentIntegralError(
             f"stock price or S_x not finite at x={xs[i]:.6g}, u={us[j]:.6g}")
-    return out[0], out[1]
+    return out[1], out[0]
 
 
 def _solve_grid(state: MarketState, params: ModelParams,

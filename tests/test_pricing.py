@@ -19,8 +19,7 @@ from dynastyprice.calibration import build_defaults
 from dynastyprice.odes import G_FLOOR, OdeInputs, OdeSolution, abc_eval
 from dynastyprice.pricing import (MAX_NODES, REL_TOL, DivergentIntegralError,
                                   QuadratureToleranceError, _rule,
-                                  _solve_grid, _stock_and_s_x, _tilt,
-                                  _x_part)
+                                  _solve_grid, _stock_and_s_x, _tilt)
 
 
 @pytest.fixture(scope="module")
@@ -148,13 +147,13 @@ def test_stock_integrand_is_bond_times_forward_dividend(defaults, limit):
     params, state, consts = defaults
     if limit:
         consts = limit_constants(params)
-    f = np.empty((2, 2))
+    last = np.array([[0.0], [1.0]])     # selects the node at tau
     for k in (0.5, 2.0, 10.0):
         tau = k / params.lam
         sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
                                  tau_max=tau, n_grid=2))
-        _x_part(state.x, sol, params, consts, f)
-        got = f[0, -1] * math.exp(math.expm1(-params.lam * tau) * state.u)
+        got = _stock_and_s_x([state.x], [state.u], sol, params, consts,
+                             last)[0][0, 0, 0]
         want = (bond_price(state, tau, params, consts)
                 * _tilt(state.x, sol)[-1])
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -253,8 +252,9 @@ def test_every_state_on_the_axes_is_validated(defaults, fn):
 
 
 def test_surface_memory_independent_of_x_count(defaults):
-    # scratch memory is O((n_u + c) N): it must not grow with len(xs), and
-    # the bound must catch a pass that holds (n_x, N) integrand matrices
+    # scratch memory is a fixed number of blocks: it must not grow with
+    # len(xs), and the bound must catch a pass that holds (n_x, N)
+    # integrand matrices
     params, _, consts = defaults
     sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
                              tau_max=100.0, n_grid=20_001))
@@ -279,6 +279,80 @@ def test_surface_memory_independent_of_x_count(defaults):
     assert many - few < node_bytes
     # one (n_x, N) matrix, as a joint-exponent pass over all x would hold
     assert peak(np.outer, xs, sol.taus) > bound
+
+
+def _dense_stock_and_s_x(xs, us, sol, params, consts, w):
+    """S and S_x summed over every (x, u, tau) at once, with F and F_x in
+    closed form from the solution's fields; x in chunks to bound memory."""
+    taus, lam, rho = sol.taus, params.lam, params.rho
+    g = np.exp(np.multiply.outer(us, np.expm1(-lam * taus)))
+    s, s_x = [], []
+    for x in np.array_split(xs, -(-len(xs) // 64)):
+        x = x[:, None]
+        tilt = 0.5 * x * x * sol.da_vals + x * sol.db_vals + sol.dc_vals
+        e = np.exp(0.5 * x * x * sol.a_vals + x * sol.b_vals + sol.c_vals
+                   - rho * taus - consts.spd_lin * x - consts.spd_quad * x * x)
+        f_x = e * (x * sol.da_vals + sol.db_vals + tilt * (
+            x * sol.a_vals + sol.b_vals - consts.spd_lin
+            - 2.0 * consts.spd_quad * x))
+        s.append(np.einsum("xt,ut,tk->xuk", e * tilt, g, w, optimize=True))
+        s_x.append(np.einsum("xt,ut,tk->xuk", f_x, g, w, optimize=True))
+    return np.concatenate(s), np.concatenate(s_x)
+
+
+@pytest.mark.parametrize("nx,nu,k", [(1, 1, 1), (1, 4, 3), (3, 4, 1),
+                                     (3, 1, 3), (64, 1, 3), (64, 4, 1),
+                                     (2000, 1, 1), (2000, 4, 3)])
+@pytest.mark.parametrize("size", ["below_block", "past_block", "20001"])
+def test_blocked_contraction_equals_dense_sum(defaults, nx, nu, k, size):
+    # the block edges fall where the nodes per block divide N: below one
+    # block, one node past two blocks, and a grid of the surface's size
+    params, _, consts = defaults
+    step = pricing.BLOCK // max(min(nx, math.isqrt(pricing.BLOCK)), nu * k)
+    n = {"below_block": 100, "past_block": 2 * step + 1, "20001": 20_001}[size]
+    sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                             tau_max=100.0, n_grid=n))
+    rng = np.random.default_rng(nx * 100 + nu * 10 + k)
+    w = rng.uniform(0.5, 1.5, (n, k)) * (sol.taus[1] - sol.taus[0])
+    xs = np.linspace(1.2, 2.0, nx)
+    us = np.linspace(5.0, 10.0, nu)
+    s, s_x = _stock_and_s_x(xs, us, sol, params, consts, w)
+    want_s, want_s_x = _dense_stock_and_s_x(xs, us, sol, params, consts, w)
+    np.testing.assert_allclose(s, want_s, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(s_x, want_s_x, rtol=1e-13, atol=0.0)
+    if nx >= 3:
+        # one overflowing state in the middle of the axis is named
+        xs[nx // 2] = -60.0
+        with pytest.raises(DivergentIntegralError,
+                           match=f"x=-60, u={us[0]:.6g}$"):
+            _stock_and_s_x(xs, us, sol, params, consts, w)
+
+
+def test_contraction_scratch_independent_of_grid_and_x_count(defaults):
+    # the blocked contraction holds a fixed number of floats whatever N
+    # and len(xs); per-x passes over the whole grid held 25.6 MB at 10 x 10
+    # and 14.4 MB at 40 x 3 on this grid
+    params, _, consts = defaults
+
+    def peak(xs, us, sol):
+        w = _simpson(sol, params)
+        tracemalloc.start()
+        try:
+            _stock_and_s_x(xs, us, sol, params, consts, w)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                             tau_max=1000.0, n_grid=200_001))
+    for nx, nu in ((10, 10), (40, 3)):
+        assert peak(np.linspace(1.2, 2.0, nx), np.linspace(5.0, 10.0, nu),
+                    sol) < 2e6
+    sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
+                             tau_max=100.0, n_grid=20_001))
+    us = np.linspace(5.0, 10.0, 3)
+    assert peak(np.linspace(1.2, 2.0, 2000), us, sol) < (
+        (us.size + 10) * 8 * sol.taus.size)
 
 
 def test_drift_zero_risk_coefficient(defaults):
@@ -351,9 +425,9 @@ def test_pde_residual_small_and_second_order(defaults):
 
 
 def test_pde_residual_memory_bounded(defaults):
-    # one evaluator call over the shifted axes holds O(3 n_u N) scratch
-    # beyond the grid solve; five stacked (n_x n_u, N) stencil matrices
-    # held about 190 N floats at this size
+    # one evaluator call over the shifted axes holds a few blocks of
+    # scratch beyond the grid solve; five stacked (n_x n_u, N) stencil
+    # matrices held about 190 N floats at this size
     params, state, consts = defaults
     xs = np.linspace(state.x - 0.1, state.x + 0.1, 3)
     us = np.linspace(state.u - 0.1, state.u + 0.1, 3)
