@@ -217,6 +217,18 @@ def test_validate_bessel_suite(capsys):
     assert all(l.endswith(",pass") for l in lines[1:])
 
 
+def test_validate_failing_row_exits_1(monkeypatch, capsys):
+    from dynastyprice import cli
+    from dynastyprice.validate import CheckResult
+    row = CheckResult("bessel", "forced", 2.0, 1.0, False)
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: [row])
+    code, out, err = run_cli(capsys, "validate", "--suite", "bessel")
+    assert code == 1
+    assert out.splitlines()[1].startswith("bessel,forced,")
+    assert out.splitlines()[1].endswith(",FAIL")
+    assert err == ""
+
+
 def test_run_sweep_lambda_recomputes_u():
     cfg_map = {"a0": 0.0, "a1": 0.0, "a2": 1.0, "lambda": 2.0, "rho": 0.04,
                "epsilon": 1.0, "gamma_agg": 0.49, "alpha_mean": 2.01,

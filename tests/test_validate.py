@@ -5,7 +5,7 @@ import pytest
 from dynastyprice import DerivedConstants, OdeInputs, abc_numeric
 from dynastyprice.calibration import build_defaults
 from dynastyprice.odes import StepSizeUnderflowError
-from dynastyprice.validate import SUITES, run_suite, suite_appendix
+from dynastyprice.validate import SUITES, _check, run_suite, suite_appendix
 
 
 def test_fast_suites_all_pass():
@@ -27,6 +27,14 @@ def test_appendix_suite_holds_one_path_at_a_time():
         tracemalloc.stop()
     assert all(r.passed for r in rows), rows
     assert peak < 1.5 * largest
+
+
+def test_value_on_its_bound_fails():
+    # rows compare strictly, as the acceptance criteria do
+    assert not _check("s", "upper", 1e-8, 1e-8).passed
+    assert not _check("s", "lower", 2.0, 2.0, larger_ok=True).passed
+    assert _check("s", "upper", 0.99e-8, 1e-8).passed
+    assert _check("s", "lower", 2.01, 2.0, larger_ok=True).passed
 
 
 def test_unknown_suite_rejected():
