@@ -17,9 +17,9 @@ import numpy as np
 from .calibration import (CalibrationTarget, NoPositiveRootError,
                           build_defaults, expected_rate, solve_gamma)
 from .model import (InvalidParamsError, MarketState, ModelParams,
-                    NumericalError, derive_constants, expected_u, short_rate)
-from .pricing import (DivergentIntegralError, bond_price, stock_price,
-                      volatility_grid)
+                    NumericalError, derive_constants, short_rate)
+from .pricing import (DivergentIntegralError, bond_price, run_sweep,
+                      stock_price, volatility_grid)
 from .validate import SUITES, run_suite
 
 PARAM_KEYS = ("a0", "a1", "a2", "lambda", "rho", "epsilon", "gamma_agg",
@@ -50,7 +50,7 @@ def _default_config() -> dict:
            "lambda": params.lam, "rho": params.rho,
            "epsilon": params.epsilon, "gamma_agg": params.gamma_agg,
            "alpha_mean": params.alpha_mean, "x": state.x, "u": state.u,
-           "seed": 12345}
+           "seed": None}
     return cfg
 
 
@@ -75,7 +75,8 @@ def load_config(args) -> dict:
     """Defaults, then config file, then --set overrides.
 
     Seed precedence: --seed beats an explicit config seed, which beats
-    the DYNASTY_SEED environment variable, which beats the default.
+    the DYNASTY_SEED environment variable; with none of them the seed is
+    None, and each validate suite draws at its criterion's seed.
     """
     cfg = _default_config()
     seed_configured = False
@@ -102,7 +103,7 @@ def load_config(args) -> dict:
             cfg["seed"] = int(os.environ["DYNASTY_SEED"])
         except ValueError as exc:
             raise ConfigError("DYNASTY_SEED must be an integer") from exc
-    if cfg["seed"] < 0:
+    if cfg["seed"] is not None and cfg["seed"] < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
     return cfg
 
@@ -164,39 +165,19 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def run_sweep(param: str, lo: float, hi: float, steps: int, cfg: dict,
-              hold_state: bool = False) -> list[tuple[float, object]]:
-    """Stock price along a parameter grid.
-
-    For lambda and epsilon sweeps the state seed u is recomputed from the
-    stationary-mean formula at each grid point (both enter that formula
-    through the age normaliser) unless hold_state is set; x and u are
-    held fixed otherwise.
-    """
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
-    if not np.all(np.isfinite((lo, hi))):
-        raise ConfigError("sweep ends must be finite")
-    values = np.linspace(lo, hi, steps)
-    rows = []
-    for v in values:
-        local = dict(cfg)
-        local[param] = float(v)
-        params, state = make_model(local)
-        consts = derive_constants(params)
-        if param in ("lambda", "epsilon") and not hold_state:
-            state = MarketState(state.x, expected_u(state.x, params, consts))
-        report = stock_price(state, params, consts)
-        rows.append((float(v), report))
-    return rows
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    rows = run_sweep(args.param, args.lo, args.hi, args.steps, cfg,
-                     hold_state=args.hold_state)
+    if args.param not in SWEEP_PARAMS:
+        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
+    if not np.all(np.isfinite((args.lo, args.hi))):
+        raise ConfigError("sweep ends must be finite")
+    values = np.linspace(args.lo, args.hi, args.steps)
+    # the swept key's configured value is never priced, so it is not checked
+    params, state = make_model({**cfg, args.param: float(values[0])})
+    reports = run_sweep("lam" if args.param == "lambda" else args.param,
+                        values, params, state, hold_state=args.hold_state)
     lines = ["param,value,stock_price,tail_err,grid_err"]
-    for value, rep in rows:
+    for value, rep in zip(values, reports):
         lines.append(f"{args.param},{_fmt(value)},{_fmt(rep.stock)},"
                      f"{_fmt(rep.integrand_tail)},{_fmt(rep.grid_error)}")
     _emit(lines, args.out)
@@ -253,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a single config key (repeatable)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (fallback: DYNASTY_SEED)")
         p.add_argument("--out", help="write CSV here instead of stdout")
 
     p = sub.add_parser("price", help="stock price at the configured state")
@@ -301,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run a verification suite")
     common(p)
     p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed of the Monte Carlo suites (fallback: "
+                        "DYNASTY_SEED; default: each criterion's seed)")
     p.add_argument("--fast", action="store_true",
                    help="smaller Monte Carlo sizes for smoke runs")
     p.set_defaults(fn=cmd_validate)

@@ -28,7 +28,8 @@ one state's grid from horizon max(10/rho, 20/lam) and spacing 0.005
 until the integrand left at the horizon (``integrand_tail``) and the
 Richardson estimate meet REL_TOL, within MAX_NODES nodes (the horizon
 jumps by 1.1 log(|f| / (REL_TOL S)) / rho); its `PriceReport` carries S
-and S_x for `stock_price`, `volatility` and `drift_star`.
+and S_x for `stock_price`, `volatility` and `drift_star`; `run_sweep`
+prices one state along a parameter grid with `stock_price`.
 `volatility_grid` and `pde_residual` contract the Simpson column on the
 grid solved at their median state, with finite-difference stencils in
 `pde_residual` as an independent PDE check.
@@ -40,12 +41,13 @@ maturity integral: it is one closed-form evaluation at its maturity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (DerivedConstants, InvalidParamsError, MarketState,
-                    ModelParams, NumericalError, dividend, short_rate)
+                    ModelParams, NumericalError, derive_constants, dividend,
+                    expected_u, short_rate)
 from .odes import OdeInputs, OdeSolution, abc_eval, g_infinity
 
 
@@ -210,6 +212,26 @@ def stock_price(state: MarketState, params: ModelParams,
                 consts: DerivedConstants) -> PriceReport:
     """Stock price with a-posteriori truncation and grid error estimates."""
     return _solve_grid(state, params, consts)[1]
+
+
+def run_sweep(field: str, values, params: ModelParams, state: MarketState,
+              hold_state: bool = False) -> list[PriceReport]:
+    """Stock price at each value of the ModelParams field ``field``.
+
+    For lam and epsilon sweeps the state's u is recomputed from the
+    stationary-mean formula at each value (both enter that formula
+    through the age normaliser) unless hold_state is set; x and u are
+    held fixed otherwise.
+    """
+    reports = []
+    for v in values:
+        local = replace(params, **{field: float(v)})
+        consts = derive_constants(local)
+        at = state
+        if field in ("lam", "epsilon") and not hold_state:
+            at = MarketState(state.x, expected_u(state.x, local, consts))
+        reports.append(stock_price(at, local, consts))
+    return reports
 
 
 def bond_price(state: MarketState, tau: float, params: ModelParams,

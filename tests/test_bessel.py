@@ -25,20 +25,6 @@ def test_against_mpmath_on_grids():
         assert np.max(np.abs(got - want) / scale) < 1e-12
 
 
-def test_cross_product_identity():
-    z = np.geomspace(1e-6, 50.0, 1000)
-    lhs = bessel.j1(z) * bessel.y2(z) - bessel.j2(z) * bessel.y1(z)
-    rhs = -2.0 / (np.pi * z)
-    assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-10
-
-
-def test_j2_recurrence_against_j0_helper():
-    z = np.array([0.5, 1.1547, 2.0, 3.7, 6.3, 9.5, 14.2, 21.0, 33.0, 47.0])
-    rec = (2.0 / z) * bessel.j1(z) - bessel.j0(z)
-    rel = np.abs(rec - bessel.j2(z)) / np.maximum(np.abs(bessel.j2(z)), 1e-3)
-    assert np.max(rel) < 1e-12
-
-
 def test_small_argument_leading_terms():
     z = 1e-6
     assert bessel.j2(z) == pytest.approx(z * z / 8.0, rel=1e-12)

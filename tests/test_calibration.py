@@ -5,13 +5,6 @@ from dynastyprice import (CalibrationTarget, derive_constants,
 from dynastyprice.calibration import NoPositiveRootError, _cubic, build_defaults
 
 
-def test_solve_gamma_default_target():
-    gamma, a = solve_gamma(CalibrationTarget(2.0, 0.01, 2.0, 0.04))
-    assert 0.490 <= gamma <= 0.498
-    assert 2.005 <= a <= 2.015
-    assert expected_rate(gamma, a, 2.0, 0.04) == pytest.approx(0.01, abs=1e-10)
-
-
 def test_expected_rate_gamma_zero():
     for a in (0.5, 2.0):
         want = 0.04 - 0.5 * a * a + a * a * 2.0

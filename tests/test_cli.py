@@ -10,7 +10,7 @@ import pytest
 import dynastyprice
 from dynastyprice import MarketState, derive_constants, short_rate
 from dynastyprice.calibration import build_defaults
-from dynastyprice.cli import build_parser, load_config, main, run_sweep
+from dynastyprice.cli import build_parser, load_config, main
 
 
 def run_cli(capsys, *argv):
@@ -189,7 +189,7 @@ def test_seed_precedence(monkeypatch):
     assert load_config(args)["seed"] == 9
     monkeypatch.delenv("DYNASTY_SEED")
     args = parser.parse_args(["validate", "--suite", "bessel"])
-    assert load_config(args)["seed"] == 12345
+    assert load_config(args)["seed"] is None
 
 
 def test_negative_env_seed_exits_config(monkeypatch, capsys):
@@ -229,14 +229,14 @@ def test_validate_failing_row_exits_1(monkeypatch, capsys):
     assert err == ""
 
 
-def test_run_sweep_lambda_recomputes_u():
-    cfg_map = {"a0": 0.0, "a1": 0.0, "a2": 1.0, "lambda": 2.0, "rho": 0.04,
-               "epsilon": 1.0, "gamma_agg": 0.49, "alpha_mean": 2.01,
-               "x": 2.01, "u": 1.43003, "seed": 1}
-    rows = run_sweep("lambda", 1.0, 2.0, 3, cfg_map)
-    held = run_sweep("lambda", 1.0, 2.0, 3, cfg_map, hold_state=True)
-    assert rows[0][1].stock != held[0][1].stock
-    assert rows[-1][1].stock == pytest.approx(held[-1][1].stock, rel=1e-3)
+def test_validate_defaults_to_the_criterion_seed(monkeypatch, capsys):
+    # with no seed anywhere, the Monte Carlo suites draw at their
+    # criterion's seed (42 for aggregation, criterion 8)
+    monkeypatch.delenv("DYNASTY_SEED", raising=False)
+    code, bare, _ = run_cli(capsys, "validate", "--suite", "aggregation")
+    assert code == 0
+    assert run_cli(capsys, "validate", "--suite", "aggregation",
+                   "--seed", "42")[1] == bare
 
 
 @pytest.mark.parametrize("argv", [
@@ -259,9 +259,11 @@ def test_run_sweep_lambda_recomputes_u():
      "--x-steps", "1"],
     ["validate", "--suite", "bessel", "--seed", "-1"],
     ["validate", "--suite", "bessel", "--set", "seed=-1"],
+    ["price", "--seed", "1"],
 ], ids=" ".join)
 def test_bad_input_exits_config(capsys, argv):
-    # non-finite values and empty grids are config errors, whether the
+    # non-finite values, empty grids and options a command does not take
+    # (only validate draws, so only it takes --seed) exit 2, whether the
     # parser (SystemExit) or the command (return code) rejects them
     try:
         code = main(argv)

@@ -19,7 +19,8 @@ from dynastyprice.calibration import build_defaults
 from dynastyprice.odes import G_FLOOR, OdeInputs, OdeSolution, abc_eval
 from dynastyprice.pricing import (MAX_NODES, REL_TOL, DivergentIntegralError,
                                   QuadratureToleranceError, _rule,
-                                  _solve_grid, _stock_and_s_x, _tilt)
+                                  _solve_grid, _stock_and_s_x, _tilt,
+                                  run_sweep)
 
 
 @pytest.fixture(scope="module")
@@ -48,19 +49,6 @@ def _richardson_slope(x, u, sol, params, consts, dx=1e-4):
 
 
 # ---------------------------------------------------------------- bond
-
-def test_bond_at_zero_maturity(defaults):
-    params, state, consts = defaults
-    assert bond_price(state, 0.0, params, consts) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_bond_short_end_matches_short_rate(defaults):
-    params, state, consts = defaults
-    h = 1e-4
-    lp = [math.log(bond_price(state, t, params, consts)) for t in (0.0, h, 2 * h)]
-    rate_fd = -(4.0 * lp[1] - lp[2] - 3.0 * lp[0]) / (2.0 * h)
-    assert abs(rate_fd - short_rate(state, consts)) < 1e-4
-
 
 def test_bond_u_dependence_exact(defaults):
     params, state, consts = defaults
@@ -164,6 +152,16 @@ def test_stock_deterministic(defaults):
     a = stock_price(state, params, consts)
     b = stock_price(state, params, consts)
     assert a.stock == b.stock
+
+
+def test_run_sweep_lambda_recomputes_u(defaults):
+    params, _, _ = defaults
+    state = MarketState(2.01, 1.43003)
+    lams = np.linspace(1.0, 2.0, 3)
+    rows = run_sweep("lam", lams, params, state)
+    held = run_sweep("lam", lams, params, state, hold_state=True)
+    assert rows[0].stock != held[0].stock
+    assert rows[-1].stock == pytest.approx(held[-1].stock, rel=1e-3)
 
 
 def test_unit_change_symmetry(defaults):
@@ -414,14 +412,28 @@ def test_drift_against_one_step_simulation(defaults):
 
 # ---------------------------------------------------------------- pde
 
-def test_pde_residual_small_and_second_order(defaults):
+def _pde_halving(defaults, step):
+    """The PDE residual on 3x3 axes at stencil step ``step`` and half it."""
     params, state, consts = defaults
     xs = np.linspace(state.x - 0.1, state.x + 0.1, 3)
     us = np.linspace(state.u - 0.1, state.u + 0.1, 3)
-    r1 = pde_residual(xs, us, params, consts, dx=1e-3, du=1e-3)
-    r2 = pde_residual(xs, us, params, consts, dx=5e-4, du=5e-4)
+    return tuple(pde_residual(xs, us, params, consts, dx=h, du=h)
+                 for h in (step, 0.5 * step))
+
+
+def test_pde_residual_small_and_second_order(defaults):
+    r1, r2 = _pde_halving(defaults, 1e-3)
     assert r1 < 1e-3
     assert 2.0 < r1 / r2 < 8.0
+
+
+def test_pde_residual_second_order_above_rounding(defaults):
+    # at steps 1e-3 and 5e-4 the h_xx stencil's rounding (S's rounding
+    # times 4/dx^2) is as large as its truncation, and the ratio reads
+    # about 5.3; at 4e-3 and 2e-3 truncation dominates and the ratio is
+    # the second order's 4
+    r1, r2 = _pde_halving(defaults, 4e-3)
+    assert 3.5 < r1 / r2 < 4.5
 
 
 def test_pde_residual_memory_bounded(defaults):
