@@ -45,7 +45,7 @@ The tilt factor da x^2 / 2 + db x + dc is then a0 + a1 m + a2 (m^2 + v)
 (the tau-bond as numeraire; Geman, El Karoui & Rochet, J. Appl. Probab.
 1995) X_tau is Normal with mean m and variance v.  Each term is a
 product of forward moments, so da ~ e^{-2 lam tau} keeps its relative
-accuracy.  The adaptive integrator here is purely a cross-check.
+accuracy.  The RK4 integrator here (abc_numeric) is purely a cross-check.
 
 In the known-parameter limit the forcing term vanishes (A = 0) and g is
 elementary: g(u) = p + q e^{-2 lam u}, with companion
@@ -54,6 +54,7 @@ h(u) = -q + p e^{-2 lam u} and K = -2 lam (p^2 + q^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ from .model import (DerivedConstants, InvalidParamsError, ModelParams,
                     NumericalError, _require_finite)
 
 G_FLOOR = 1e-12
+H_MAX = 0.0025      # largest RK4 step of the cross-check
+RK4_TOL = 1e-9      # its step-doubling bound, relative to each component
 
 
 class DegenerateGError(NumericalError):
@@ -70,7 +73,7 @@ class DegenerateGError(NumericalError):
 
 
 class StepSizeUnderflowError(NumericalError):
-    """The cross-check integrator stalled (pole of a on the range)."""
+    """The RK4 cross-check overflowed or missed RK4_TOL (pole of a nearby)."""
 
 
 @dataclass(frozen=True)
@@ -228,36 +231,67 @@ def abc_eval(inputs: OdeInputs) -> OdeSolution:
                        da_vals=da, db_vals=db, dc_vals=dc)
 
 
-def abc_numeric(inputs: OdeInputs) -> OdeSolution:
-    """Integrate the coupled system with adaptive RK45 (cross-check only).
-
-    The tilt-derivative block is the linearisation of the base system:
-    d(da)/dtau = 2(a - lam) da, and so on.  Local tolerance 1e-10.
-    """
-    from scipy.integrate import solve_ivp   # cross-check only; slow import
-
+def _rk4(inputs: OdeInputs, steps: int) -> np.ndarray:
+    """(a, b, c, da, db, dc) on the grid, ``steps`` RK4 steps per interval;
+    six Python floats, since an array per stage is slower at this size."""
     params, consts, theta = inputs.params, inputs.consts, inputs.theta
-    lam, big_a = consts.lam, consts.age_norm
+    lam, la = consts.lam, consts.lam * consts.age_norm
 
     def rhs(t, y):
         a, b, c, da, db, dc = y
-        return (lam * big_a * np.exp(-lam * t) - 2.0 * lam * a + a * a,
+        return (la * math.exp(-lam * t) - 2.0 * lam * a + a * a,
                 a * b - lam * b,
                 0.5 * (a + b * b),
                 2.0 * (a - lam) * da,
                 da * b + (a - lam) * db,
                 0.5 * (da + 2.0 * b * db))
 
-    y0 = (2.0 * (consts.spd_quad + theta * params.a2),
-          consts.spd_lin + theta * params.a1,
-          theta * params.a0,
-          2.0 * params.a2, params.a1, params.a0)
+    def shift(y, h, k):
+        return tuple(yi + h * ki for yi, ki in zip(y, k))
+
+    taus = np.linspace(0.0, inputs.tau_max, inputs.n_grid).tolist()
+    y = (2.0 * (consts.spd_quad + theta * params.a2),
+         consts.spd_lin + theta * params.a1,
+         theta * params.a0,
+         2.0 * params.a2, params.a1, params.a0)
+    out = [y]
+    for t0, t1 in zip(taus, taus[1:]):
+        h = (t1 - t0) / steps
+        for t in (t0 + i * h for i in range(steps)):
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, shift(y, 0.5 * h, k1))
+            k3 = rhs(t + 0.5 * h, shift(y, 0.5 * h, k2))
+            k4 = rhs(t + h, shift(y, h, k3))
+            y = shift(y, h / 6.0, [p + 2.0 * (q + r) + s
+                                   for p, q, r, s in zip(k1, k2, k3, k4)])
+        out.append(y)
+    return np.array(out)
+
+
+def abc_numeric(inputs: OdeInputs) -> OdeSolution:
+    """Integrate the coupled system with classical RK4 (cross-check only).
+
+    The tilt-derivative block is the linearisation of the base system:
+    d(da)/dtau = 2(a - lam) da, and so on.  Each output interval takes
+    n = ceil(dtau / H_MAX) and 2n equal steps; the 2n values are returned
+    if, per component, max |y_2n - y_n| <= RK4_TOL max |y_2n| over the
+    grid (the raw gap: gap / 15 understates the error near a pole of a).
+    A larger gap or a non-finite state raises StepSizeUnderflowError.
+    """
+    n = math.ceil(inputs.tau_max / (inputs.n_grid - 1) / H_MAX)
+    coarse, fine = _rk4(inputs, n), _rk4(inputs, 2 * n)
     taus = np.linspace(0.0, inputs.tau_max, inputs.n_grid)
-    sol = solve_ivp(rhs, (0.0, inputs.tau_max), y0, t_eval=taus,
-                    method="RK45", rtol=1e-10, atol=1e-14,
-                    max_step=min(0.01, inputs.tau_max / 64.0))
-    if not sol.success:
-        raise StepSizeUnderflowError(f"RK45 failed: {sol.message}")
-    a, b, c, da, db, dc = sol.y
+    bad = ~np.all(np.isfinite(fine), axis=1)
+    if bad.any():
+        raise StepSizeUnderflowError(
+            f"RK4 state is not finite from tau = {taus[bad.argmax()]:.6g}")
+    gap = np.abs(fine - coarse)
+    excess = gap - RK4_TOL * np.max(np.abs(fine), axis=0)
+    if not np.all(excess <= 0.0):      # an overflow of y_n fails too
+        k = np.unravel_index(np.argmax(excess), excess.shape)
+        raise StepSizeUnderflowError(
+            f"RK4 step-doubling gap {gap[k]:.3g} at tau = {taus[k[0]]:.6g} "
+            f"exceeds {RK4_TOL:g} of its component's scale")
+    a, b, c, da, db, dc = fine.T
     return OdeSolution(taus=taus, a_vals=a, b_vals=b, c_vals=c,
                        da_vals=da, db_vals=db, dc_vals=dc)

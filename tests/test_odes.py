@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ from dynastyprice import (DegenerateGError, DerivedConstants, InvalidParamsError
                           OdeInputs, abc_eval, abc_numeric, derive_constants,
                           g_closed)
 from dynastyprice.calibration import build_defaults
+from dynastyprice.odes import _rk4
 
 
 @pytest.fixture()
@@ -187,6 +189,22 @@ def test_numeric_matches_separable_solution_when_forcing_vanishes(defaults):
     assert np.max(np.abs(closed.a_vals - want)) < 1e-12
 
 
+def test_numeric_stepper_is_fourth_order(defaults):
+    # halving the RK4 step cuts the error against the separable a(tau)
+    # by 2^4 = 16
+    params, consts = defaults
+    lam, c_quad = params.lam, consts.spd_quad
+    inputs = OdeInputs(theta=0.0, params=params,
+                       consts=_flat_consts(params, consts),
+                       tau_max=10.0, n_grid=2001)
+    taus = np.linspace(0.0, 10.0, 2001)
+    want = 2 * lam * c_quad / (c_quad - (c_quad - lam) * np.exp(2 * lam * taus))
+    errs = [np.max(np.abs(_rk4(inputs, steps)[:, 0] - want))
+            for steps in (1, 2, 4)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 12.0 < coarse / fine < 20.0, errs
+
+
 def test_long_horizon_stays_finite(defaults):
     # lam tau = 1600 drives z = z0 e^{-lam tau / 2} below the smallest
     # normal double; the scaled Bessel combinations must stay finite there
@@ -199,13 +217,23 @@ def test_long_horizon_stays_finite(defaults):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # no scipy module at all: only the abc_numeric cross-check needs
-    # scipy.integrate, and scipy.special alone would add ~0.5 s to import
+    # no scipy module at all, even after the RK4 cross-check has run:
+    # numpy is the only runtime dependency
     src = str(Path(dynastyprice.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import dynastyprice; "
+            "from dynastyprice.validate import run_suite; "
+            "assert all(r.passed for r in run_suite('ode')); "
             "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
             "for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_package_source_never_imports_scipy():
+    imports = re.compile(r"^\s*(?:import|from)\s+scipy\b", re.MULTILINE)
+    src = Path(dynastyprice.__file__).parent
+    found = [path.name for path in sorted(src.glob("*.py"))
+             if imports.search(path.read_text())]
+    assert found == []
 
 
 def test_c_equals_simpson_of_integrand(defaults):

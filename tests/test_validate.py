@@ -51,3 +51,14 @@ def test_numeric_integrator_reports_pole():
     with pytest.raises(StepSizeUnderflowError):
         abc_numeric(OdeInputs(theta=0.0, params=params, consts=flat,
                               tau_max=5.0, n_grid=501))
+
+
+def test_numeric_integrator_rejects_gap_near_pole():
+    # short of the pole at ln(3)/4 ~ 0.275 the state stays finite, but
+    # the step-doubling gap (8.6e-6 of dc's scale) exceeds RK4_TOL
+    params, _ = build_defaults()
+    flat = DerivedConstants(age_norm=0.0, spd_lin=0.0, spd_quad=3.0,
+                            r0=0.0, r1=0.0, r2=0.0, lam=2.0)
+    with pytest.raises(StepSizeUnderflowError, match="step-doubling gap"):
+        abc_numeric(OdeInputs(theta=0.0, params=params, consts=flat,
+                              tau_max=0.25, n_grid=101))
