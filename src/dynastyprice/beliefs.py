@@ -16,12 +16,20 @@ an exponential and a Gamma(2) law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import InvalidParamsError, ModelParams, NumericalError
 from .ou import SimPath, substream
+
+AGE_CHUNK = 2**12   # sample_age, aggregate_log_lambda: dynasties per draw
+
+
+def _chunks(n: int):
+    """Consecutive slices of AGE_CHUNK covering range(n)."""
+    return (slice(k, min(k + AGE_CHUNK, n)) for k in range(0, n, AGE_CHUNK))
 
 
 class AgeExceedsPathError(NumericalError):
@@ -68,16 +76,24 @@ def sample_age(epsilon: float, lam: float, rng: np.random.Generator,
 
     Exact via the mixture decomposition
     phi = (A eps) * Exp(lam) + (A/lam) * Gamma(2, lam); the weights sum
-    to one exactly when A = lam / (1 + eps lam).
+    to one exactly when A = lam / (1 + eps lam).  The draws are all n
+    uniforms, then n exponentials, then n more, each taken AGE_CHUNK at a
+    time into the ages and one flag per age.
     """
     if lam * epsilon < 1.0:
         raise InvalidParamsError("lam * epsilon >= 1 required")
     age_norm = lam / (1.0 + epsilon * lam)
     n = 1 if size is None else size
-    take_exp = rng.random(n) < age_norm * epsilon
-    e1 = rng.exponential(1.0 / lam, n)
-    e2 = rng.exponential(1.0 / lam, n)
-    ages = e1 + np.where(take_exp, 0.0, e2)
+    take_exp = np.empty(n, dtype=bool)
+    ages = np.empty(n)
+    for sl in _chunks(n):
+        take_exp[sl] = rng.random(sl.stop - sl.start) < age_norm * epsilon
+    for sl in _chunks(n):
+        ages[sl] = rng.exponential(1.0 / lam, sl.stop - sl.start)
+    for sl in _chunks(n):
+        e2 = rng.exponential(1.0 / lam, sl.stop - sl.start)
+        np.copyto(e2, 0.0, where=take_exp[sl])
+        ages[sl] += e2
     return float(ages[0]) if size is None else ages
 
 
@@ -89,10 +105,12 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
 
     All dynasties observe the same path, whose W row (``ou.w_row`` of its
     row 0) is ``ws``; ages are drawn from phi and prior means alpha_i from
-    N(alpha_mean, alpha_std^2), independently.
+    N(alpha_mean, alpha_std^2), independently.  The ages are the only
+    population-sized array: the prior means are drawn AGE_CHUNK at a time
+    and each chunk's values overwrite its ages.
     """
     if shared_path.n_paths != 1:
-        raise ValueError("shared_path must hold a single trajectory")
+        raise InvalidParamsError("shared_path must hold a single trajectory")
     if population_size < 2:
         raise InvalidParamsError("population_size >= 2 required (a standard "
                                  "error needs two dynasties)")
@@ -103,13 +121,15 @@ def aggregate_log_lambda(population_size: int, params: ModelParams,
     if np.max(ages) >= window:
         raise AgeExceedsPathError(
             f"sampled age {np.max(ages):.3f} exceeds the {window:.3f} window")
-    alphas = rng.normal(params.alpha_mean, alpha_std, population_size)
 
     times = shared_path.times
-    w_birth = np.interp(times[-1] - ages, times, ws)
-    dw = ws[-1] - w_birth
-
-    vals = log_lambda_density(dw, ages, alphas, params.epsilon)
+    for sl in _chunks(population_size):
+        alphas = rng.normal(params.alpha_mean, alpha_std, sl.stop - sl.start)
+        dw = ws[-1] - np.interp(times[-1] - ages[sl], times, ws)
+        ages[sl] = log_lambda_density(dw, ages[sl], alphas, params.epsilon)
+    vals = ages
     mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(population_size))
+    sq_dev = sum(float(np.sum((vals[sl] - mean) ** 2))
+                 for sl in _chunks(population_size))
+    se = math.sqrt(sq_dev / (population_size - 1)) / math.sqrt(population_size)
     return mean, se

@@ -15,13 +15,18 @@ shocks of rows ..h), and ``_mean_se`` takes the standard error from the
 h pair means; an odd count draws every path independently.
 martingale_check continues all outer paths together as one
 (n_inner, n_outer) array, so each step is one time-major draw of
-(n_inner / 2, n_outer) normals.  The path checks (xi_eta_check,
-aggregation_check) draw stationary mean-zero X paths one row at a time
-(``SimPath.row``, into one reused buffer in xi_eta_check) and build W
-from that row (``ou.w_row``, one cumulative sum written in place), so
-they hold O(n_steps) scratch and never a whole path array; their window
-trapezoids are dot products of a row with the weights of
-``_window_weights``.
+(n_inner / 2, n_outer) normals.  The forward simulations hold the state
+they carry and little else: X, U and the one scratch array of
+``ou.advance``, then the payoff built in U's array (CHUNK values at a
+time, so the payoff's own temporaries stay small) with X released
+before the statistics.  The path checks (xi_eta_check,
+aggregation_check) stream stationary mean-zero X paths piece by piece
+(``SimPath.chunks``) and build W piece by piece with its running sum
+carried (``ou._w_piece``); their window trapezoids are dot products of
+each piece with its weights, summed over the pieces (``_window_sums``).
+So xi_eta_check's scratch does not grow with n_steps, and
+aggregation_check holds the W row it interpolates and, per dynasty, one
+float and one flag (``beliefs.aggregate_log_lambda``).
 
 The stock oracle integrates the pathwise payoff over maturities out to a
 finite horizon and closes the integral with a geometric tail: once the
@@ -45,14 +50,15 @@ from .beliefs import aggregate_log_lambda
 from .model import (DerivedConstants, InvalidParamsError, MarketState,
                     ModelParams, NumericalError)
 from .odes import OdeInputs, abc_eval
-from .ou import (SimConfig, SimPath, advance, sample_stationary,
-                 simulate, substream, w_row)
+from .ou import (SimConfig, SimPath, _w_piece, advance, sample_stationary,
+                 simulate, substream)
 
 LOG_PAYOFF_CAP = 700.0
 T_SUB = 10              # mc_stock: OU steps per maturity-grid interval
 TAIL_WINDOW = 5.0       # mc_stock: time units averaged for the tail
 ALPHA_STD = 0.1         # aggregation_check: sd of the dynasties' prior means
 AGE_TAIL_MAX = 0.01     # aggregation_check: expected ages past the burn-in
+CHUNK = 2**14           # mc_v, martingale_check: values per elementwise pass
 
 
 class OverflowGuardError(NumericalError):
@@ -109,6 +115,23 @@ def _mean_se(values: np.ndarray):
     return np.mean(values, axis=0), se
 
 
+def _add_in_chunks(acc: np.ndarray, fn, x: np.ndarray) -> np.ndarray:
+    """acc += fn(x), CHUNK values at a time, so that fn's temporaries stay
+    CHUNK-sized; acc and x are C-contiguous and of one shape."""
+    flat_acc, flat_x = acc.reshape(-1), x.reshape(-1)
+    for k in range(0, flat_acc.size, CHUNK):
+        flat_acc[k:k + CHUNK] += fn(flat_x[k:k + CHUNK])
+    return acc
+
+
+def _guard(log_pay: np.ndarray) -> None:
+    """Raise unless every log payoff is <= LOG_PAYOFF_CAP; NaN fails."""
+    top = np.max(log_pay)
+    if not top <= LOG_PAYOFF_CAP:
+        raise OverflowGuardError(
+            f"log payoff {top:.1f} is not <= {LOG_PAYOFF_CAP:g}")
+
+
 def mc_v(state: MarketState, t_horizon: float, theta: float,
          params: ModelParams, consts: DerivedConstants,
          cfg: OracleConfig) -> McEstimate:
@@ -126,14 +149,16 @@ def mc_v(state: MarketState, t_horizon: float, theta: float,
         raise InvalidParamsError("theta must be finite")
     n_steps = int(round(t_horizon / cfg.dt))
     xs = np.full(cfg.n_paths, float(state.x))
-    xs, integral = advance(xs, 0.0, substream(cfg.seed), n_steps,
-                           consts.lam, cfg.dt, consts.age_norm)
-
-    log_pay = (theta * model.dividend(xs, params)
-               + consts.spd_lin * xs + consts.spd_quad * xs * xs + integral)
-    if float(np.max(log_pay)) > LOG_PAYOFF_CAP:
-        raise OverflowGuardError(f"log payoff {np.max(log_pay):.1f} > 700")
-    mean, se = _mean_se(np.exp(log_pay))
+    xs, log_pay = advance(xs, 0.0, substream(cfg.seed), n_steps,
+                          consts.lam, cfg.dt, consts.age_norm)
+    # the log payoff is built in U's array, and X is released before the
+    # statistics
+    _add_in_chunks(log_pay, lambda x: (theta * model.dividend(x, params)
+                                       + consts.spd_lin * x
+                                       + consts.spd_quad * x * x), xs)
+    del xs
+    _guard(log_pay)
+    mean, se = _mean_se(np.exp(log_pay, out=log_pay))
     return McEstimate(mean=float(mean), se=float(se))
 
 
@@ -167,8 +192,7 @@ def mc_stock(state: MarketState, params: ModelParams,
         xs, us = advance(xs, us, rng, T_SUB, consts.lam, dt, consts.age_norm)
         t_now = k * dt
         log_q = model.log_zeta_xu(xs, us, t_now, params, consts) - log_z0
-        if float(np.max(log_q)) > LOG_PAYOFF_CAP:
-            raise OverflowGuardError("log payoff exceeded 700")
+        _guard(log_q)
         q = model.dividend(xs, params) * np.exp(log_q)
         integral += 0.5 * big_dt * (q_prev + q)
         q_prev = q
@@ -182,15 +206,33 @@ def mc_stock(state: MarketState, params: ModelParams,
                       tail=float(np.mean(tails)))
 
 
-def _window_weights(lam: float, dt: float, n_steps: int) -> np.ndarray:
-    """Trapezoid weights of lam e^{-lam v} dv over the window lags
-    v = n_steps dt, ..., dt, 0, in time order to match a path row (oldest
-    value first): the window integral of lam e^{-lam v} f_{t-v} is
-    f_row @ weights."""
-    wgt = lam * dt * np.exp(-lam * dt * np.arange(n_steps, -1, -1))
-    wgt[0] *= 0.5
-    wgt[-1] *= 0.5 if n_steps else 0.0     # a one-point window has no width
-    return wgt
+def _window_sums(path: SimPath, i: int, ws: np.ndarray | None = None):
+    """Stream path i piece by piece (``SimPath.chunks``) and return
+    (X_t, W_t, C, W.c, (W^2).c, (X^2).c): the last X and W of the row,
+    and the sum C of the window's trapezoid weights c of lam e^{-lam v} dv
+    at lags v = (n_steps - k) dt, end points halved, and their dot
+    products with the row, summed piece by piece.  W along the row is
+    written into ``ws`` (length n_steps + 1) when given; otherwise only
+    one piece of it is held at a time."""
+    lam_dt, n = path.lam * path.dt, path.n_steps
+    sums = np.zeros(4)
+    k, carry = 0, 0.0
+    for x in path.chunks(i):
+        if k == 0:
+            x0 = x[0]
+            # e^{-lam dt j} over the lags j of the longest piece, oldest first
+            decays = np.exp(-lam_dt * np.arange(len(x) - 1, -1, -1))
+        w = np.empty_like(x) if ws is None else ws[k:k + len(x)]
+        carry = _w_piece(x, carry, x0, lam_dt, w)
+        end = k + len(x)            # steps k..end-1; the last at lag n+1-end
+        wgt = lam_dt * math.exp(-lam_dt * (n + 1 - end)) * decays[-len(x):]
+        if k == 0:
+            wgt[0] *= 0.5
+        if end == n + 1:
+            wgt[-1] *= 0.5 if n else 0.0    # a one-point window: no width
+        sums += (np.sum(wgt), w @ wgt, (w * w) @ wgt, (x * x) @ wgt)
+        k = end
+    return (float(x[-1]), float(w[-1]), *map(float, sums))
 
 
 def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
@@ -206,26 +248,16 @@ def xi_eta_check(path: SimPath) -> tuple[np.ndarray, np.ndarray]:
     cancels between the two sides up to e^{-lam T0}.  With the window
     weights c, sum C and W.c the dot product of the row with c, the
     trapezoids expand to xi_hat = W_t C - W.c,
-    eta_hat = W_t^2 C - 2 W_t W.c + (W^2).c and H = (X^2).c.
+    eta_hat = W_t^2 C - 2 W_t W.c + (W^2).c and H = (X^2).c.  Each row
+    streams in pieces, so the scratch does not grow with n_steps.
     """
-    dt = path.dt
-    wgt = _window_weights(path.lam, dt, path.n_steps)
-    wgt_sum = float(np.sum(wgt))
     xi_dev, eta_dev = np.empty(path.n_paths), np.empty(path.n_paths)
-    x = np.empty(path.n_steps + 1)
-    ws = np.empty_like(x)
-    sq = np.empty_like(x)
     for i in range(path.n_paths):
-        path.row(i, out=x)
-        w_row(x, path.lam, dt, out=ws)
-        x_t, w_t = x[-1], ws[-1]
-        w_c = ws @ wgt
+        x_t, w_t, wgt_sum, w_c, w2_c, x2_c = _window_sums(path, i)
         xi_hat = w_t * wgt_sum - w_c
-        eta_hat = (w_t * w_t * wgt_sum - 2.0 * w_t * w_c
-                   + np.multiply(ws, ws, out=sq) @ wgt)
-        hist = np.multiply(x, x, out=sq) @ wgt
+        eta_hat = w_t * w_t * wgt_sum - 2.0 * w_t * w_c + w2_c
         xi_dev[i] = abs(xi_hat - x_t)
-        eta_dev[i] = abs(eta_hat - (x_t * x_t + hist))
+        eta_dev[i] = abs(eta_hat - (x_t * x_t + x2_c))
     return xi_dev, eta_dev
 
 
@@ -255,13 +287,11 @@ def aggregation_check(params: ModelParams, consts: DerivedConstants,
     sim = SimConfig(n_paths=1, n_steps=n_steps, dt=cfg.dt, seed=cfg.seed)
     path = simulate(sim, params, consts, t0=-cfg.burn_in)
 
-    x = path.row(0)
-    mean, se = aggregate_log_lambda(population_n, params, path,
-                                    w_row(x, lam, cfg.dt), seed=cfg.seed + 1,
-                                    alpha_std=ALPHA_STD)
-
-    x_t = float(x[-1])
-    eta = x_t * x_t + float((x * x) @ _window_weights(lam, cfg.dt, n_steps))
+    ws = np.empty(n_steps + 1)
+    x_t, *_, hist = _window_sums(path, 0, ws)
+    mean, se = aggregate_log_lambda(population_n, params, path, ws,
+                                    seed=cfg.seed + 1, alpha_std=ALPHA_STD)
+    eta = x_t * x_t + hist
     xi = x_t
 
     nodes, weights = laggauss(80)
@@ -305,12 +335,15 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
     sol = abc_eval(OdeInputs(theta=theta, params=params, consts=consts,
                              tau_max=t_final, n_grid=4))
 
-    def m_value(k: int, n_done: int, x: np.ndarray, u) -> np.ndarray:
+    def m_value(k: int, n_done: int, x: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
         """M at checkpoint k for paths simulated n_done steps to (x, u):
-        V at tau = T - k T/3, U weighted at the simulated time n_done dt."""
+        V at tau = T - k T/3, U weighted at the simulated time n_done dt.
+        M is built in u's array, which it overwrites."""
         a, b, c = sol.a_vals[3 - k], sol.b_vals[3 - k], sol.c_vals[3 - k]
-        weight = math.exp(-lam * (t_final - n_done * dt))
-        return np.exp(0.5 * a * x * x + b * x + c + weight * u)
+        u *= math.exp(-lam * (t_final - n_done * dt))
+        _add_in_chunks(u, lambda x: 0.5 * a * x * x + b * x + c, x)
+        return np.exp(u, out=u)
 
     worst = 0.0
     for k in range(3):
@@ -319,13 +352,13 @@ def martingale_check(t_final: float, theta: float, params: ModelParams,
 
         x_outer = sample_stationary(lam, rng.standard_normal(n_outer))
         x_outer, u_outer = advance(x_outer, 0.0, rng, n1, lam, dt, big_a)
-        m1 = m_value(k, n1, x_outer, u_outer)
 
-        # column j continues outer path j with n_inner inner paths
-        x_in, u_in = advance(np.tile(x_outer, (n_inner, 1)), u_outer, rng,
-                             n2, lam, dt, big_a)
-        mean2, errs = _mean_se(m_value(k + 1, n1 + n2, x_in, u_in))
-        diffs = mean2 - m1
+        # column j continues outer path j with n_inner inner paths; the
+        # inner arrays live only until M is built from them
+        mean2, errs = _mean_se(m_value(k + 1, n1 + n2, *advance(
+            np.tile(x_outer, (n_inner, 1)), u_outer, rng, n2, lam, dt,
+            big_a)))
+        diffs = mean2 - m_value(k, n1, x_outer, u_outer)
         pooled = float(np.mean(diffs))
         pooled_se = float(np.sqrt(np.sum(errs ** 2)) / n_outer)
         # at large lam T, V and the U weight leave M deterministic over

@@ -195,7 +195,7 @@ def suite_appendix(seed: int = 2024, fast: bool = False) -> list[CheckResult]:
     ladder = (4e-4, 2e-4, 1e-4, 5e-5)
     for dt in ladder:
         n_steps = int(round(10.0 / dt))
-        # the path is drawn one row at a time inside xi_eta_check
+        # xi_eta_check streams each row in pieces: no row is ever whole
         xd, ed = xi_eta_check(simulate(
             SimConfig(n_paths=n_paths, n_steps=n_steps, dt=dt, seed=seed),
             params, consts, t0=-10.0))

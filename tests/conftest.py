@@ -1,6 +1,19 @@
+import tracemalloc
+
 import pytest
 
 from dynastyprice import ou
+
+
+def peak_bytes(fn, *args, **kw) -> int:
+    """Peak traced memory, in bytes, of one call fn(*args, **kw); the
+    arguments are built before tracing starts."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class _ZeroDraws:

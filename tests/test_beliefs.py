@@ -135,6 +135,16 @@ def test_aggregate_constant_path(zero_draws):
     assert se > 0.0
 
 
+def test_aggregate_rejects_multi_path():
+    # an input check like every other: InvalidParamsError, a ValueError
+    params, _ = build_defaults()
+    consts = derive_constants(params)
+    two = simulate(SimConfig(n_paths=2, n_steps=100, dt=1e-3, seed=2),
+                   params, consts)
+    with pytest.raises(InvalidParamsError, match="single trajectory"):
+        aggregate_log_lambda(100, params, two, _w(two), seed=8)
+
+
 def test_aggregate_age_window_guard():
     params, _ = build_defaults()
     consts = derive_constants(params)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +9,13 @@ from dynastyprice import (MarketState, OdeInputs, OracleConfig,
                           derive_constants, dividend, log_zeta,
                           martingale_check, mc_stock, mc_v, simulate,
                           xi_eta_check)
-from dynastyprice import oracles
+from dynastyprice import oracles, ou
 from dynastyprice.calibration import build_defaults
 from dynastyprice.model import InvalidParamsError, log_zeta_xu
 from dynastyprice.ou import (SimConfig, SimPath, step_consts, substream,
                              w_row)
 from dynastyprice.pricing import stock_price
+from conftest import peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +109,25 @@ def test_mc_v_overflow_guard(defaults):
     cfg = OracleConfig(n_paths=10, dt=1e-3, burn_in=5.0, horizon=1.0, seed=3)
     with pytest.raises(OverflowGuardError):
         mc_v(MarketState(30.0, 0.0), 0.01, 1.0, params, consts, cfg)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_mc_v_overflow_guard_catches_nan(defaults, theta):
+    # x = 1e155 is finite, but X^2 overflows and the log payoff is NaN,
+    # which a "max > cap" test lets through as McEstimate(nan, nan)
+    params, _, consts = defaults
+    cfg = OracleConfig(n_paths=10, dt=1e-3, burn_in=5.0, horizon=1.0, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowGuardError):
+        mc_v(MarketState(1e155, 0.0), 0.01, theta, params, consts, cfg)
+
+
+def test_mc_stock_overflow_guard_catches_nan(defaults):
+    params, _, consts = defaults
+    cfg = OracleConfig(n_paths=10, dt=1e-3, burn_in=5.0, horizon=6.0, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowGuardError):
+        mc_stock(MarketState(1e155, 0.0), params, consts, cfg)
 
 
 def test_mc_stock_agrees_with_quadrature(defaults):
@@ -211,13 +230,8 @@ def test_xi_eta_memory_bounded(defaults):
     params, _, consts = defaults
     cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
     path = simulate(cfg, params, consts, t0=-10.0)
-    tracemalloc.start()
-    try:
-        xi_eta_check(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < path.xs.nbytes
+    assert peak_bytes(xi_eta_check, path) < (
+        cfg.n_paths * (cfg.n_steps + 1) * 8)
 
 
 def test_xi_eta_adds_only_row_scratch(defaults):
@@ -225,29 +239,52 @@ def test_xi_eta_adds_only_row_scratch(defaults):
     params, _, consts = defaults
     cfg = SimConfig(n_paths=100, n_steps=20_000, dt=5e-4, seed=8)
     path = simulate(cfg, params, consts, t0=-10.0)
-    tracemalloc.start()
-    try:
-        xi_eta_check(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.1 * path.xs.nbytes
+    assert peak_bytes(xi_eta_check, path) < (
+        0.1 * cfg.n_paths * (cfg.n_steps + 1) * 8)
 
 
 def test_simulate_and_xi_eta_hold_a_few_rows(defaults):
-    # at the appendix size of 100 x 200,001 the path would be 160 MB; rows
-    # are drawn one at a time into a reused buffer, beside W, a square and
-    # the window weights: 4.2-4.7 rows measured, bounded at 6
+    # at the appendix size of 100 x 200,001 the path would be 160 MB; each
+    # row streams in pieces, so the scratch is well under one row
     params, _, consts = defaults
     cfg = SimConfig(n_paths=100, n_steps=200_000, dt=5e-5, seed=1003)
     row_bytes = (cfg.n_steps + 1) * 8
-    tracemalloc.start()
-    try:
-        xi_eta_check(simulate(cfg, params, consts, t0=-10.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * row_bytes
+    assert peak_bytes(lambda: xi_eta_check(
+        simulate(cfg, params, consts, t0=-10.0))) < 6 * row_bytes
+
+
+def test_xi_eta_scratch_independent_of_n_steps(defaults):
+    # a row is read piece by piece and its window sums carried across the
+    # pieces: doubling the path length leaves the peak where it was
+    params, _, consts = defaults
+
+    def peak(n_steps):
+        cfg = SimConfig(n_paths=2, n_steps=n_steps, dt=5e-5, seed=5)
+        return peak_bytes(xi_eta_check, simulate(cfg, params, consts))
+
+    peak(1_000)                 # first-call imports are not scratch
+    assert peak(400_000) <= 1.1 * peak(200_000)
+
+
+def test_xi_eta_pieces_match_whole_row_sums(defaults, monkeypatch):
+    # the window sums, carried piece by piece, agree with one pass of
+    # whole-row dot products to float64 round-off, whatever the piece size
+    params, _, consts = defaults
+    cfg = SimConfig(n_paths=3, n_steps=30_000, dt=2e-4, seed=21)
+    path = simulate(cfg, params, consts, t0=-6.0)
+    lam_dt, n = path.lam * path.dt, path.n_steps
+    wgt = lam_dt * np.exp(-lam_dt * np.arange(n, -1, -1))
+    wgt[0] *= 0.5
+    wgt[-1] *= 0.5
+    want = []
+    for x in path.xs:
+        ws = w_row(x, path.lam, path.dt)
+        want.append((x[-1], ws[-1], wgt.sum(), ws @ wgt, (ws * ws) @ wgt,
+                     (x * x) @ wgt))
+    for row_chunk in (1, 7_000, 2**14, 10**6):
+        monkeypatch.setattr(ou, "ROW_CHUNK", row_chunk)
+        got = [oracles._window_sums(path, i) for i in range(path.n_paths)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_aggregation_within_three_se(defaults):
@@ -357,6 +394,58 @@ def test_martingale_drift_small_with_tilt(defaults):
     worst = martingale_check(0.5, 0.1, params, consts, cfg,
                              n_outer=40, n_inner=400)
     assert worst < 3.5
+
+
+# ------------------------------------------- scratch at the benchmark sizes
+
+def _at_size(oracle, params, state, consts, k):
+    """``oracle`` at the verify benchmark's size, path or population
+    counts divided by k."""
+    if oracle == "mc_stock":
+        return mc_stock(state, params, consts,
+                        OracleConfig(n_paths=10_000 // k, dt=1e-3,
+                                     burn_in=10.0, horizon=8.0, seed=1001))
+    if oracle == "mc_v":
+        return mc_v(state, 0.5, 0.0, params, consts,
+                    OracleConfig(n_paths=100_000 // k, dt=1e-3, burn_in=10.0,
+                                 horizon=1.0, seed=1002))
+    if oracle == "xi_eta":
+        cfg = SimConfig(n_paths=100 // k, n_steps=200_000, dt=5e-5,
+                        seed=1003)
+        return xi_eta_check(simulate(cfg, params, consts, t0=-10.0))
+    if oracle == "aggregation":
+        return aggregation_check(params, consts,
+                                 OracleConfig(n_paths=1, dt=1e-4, burn_in=10.0,
+                                              horizon=1.0, seed=1004),
+                                 100_000 // k)
+    return martingale_check(0.5, 0.0, params, consts,
+                            OracleConfig(n_paths=1, dt=1e-3, burn_in=10.0,
+                                         horizon=1.0, seed=1005),
+                            n_outer=100 // k, n_inner=1000)
+
+
+@pytest.mark.parametrize("oracle", ["mc_stock", "mc_v", "xi_eta",
+                                    "aggregation", "martingale"])
+def test_oracle_scratch_at_benchmark_size(defaults, oracle):
+    # each oracle holds the state it carries and a few arrays of it: about
+    # three path- or population-sized arrays at most (0.8 MB each at
+    # 100,000), where the whole-array temporaries peaked at 3.4-8.8 MB
+    params, state, consts = defaults
+    _at_size(oracle, params, state, consts, 100)  # first-call imports
+    assert peak_bytes(_at_size, oracle, params, state, consts, 1) <= 3e6
+
+
+def test_aggregation_scratch_per_dynasty(defaults):
+    # per dynasty the check holds one float (its age, then its value) and
+    # one flag: about 9 bytes, whatever else scales with the path
+    params, _, consts = defaults
+    cfg = OracleConfig(n_paths=1, dt=1e-4, burn_in=10.0, horizon=1.0, seed=6)
+
+    def peak(population):
+        return peak_bytes(aggregation_check, params, consts, cfg, population)
+
+    peak(1_000)                 # first-call imports are not scratch
+    assert peak(100_000) - peak(50_000) <= 10 * 50_000
 
 
 # ------------------------------------------- large lam T: no e^{lam t} weight

@@ -1,6 +1,5 @@
 import inspect
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,10 @@ from dynastyprice import (SimConfig, derive_constants, expected_u,
                           sample_stationary, simulate)
 from dynastyprice.calibration import build_defaults
 from dynastyprice.model import InvalidParamsError
-from dynastyprice.ou import advance, step_consts, substream, w_row
+from dynastyprice import ou
+from dynastyprice.ou import (SimPath, _w_piece, advance, step_consts,
+                             substream, w_row)
+from conftest import peak_bytes
 
 
 @pytest.fixture()
@@ -181,43 +183,64 @@ def test_simulate_matches_sequential_loop(defaults, cfg):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
 
-def test_simulate_memory_bounded(defaults):
-    # the X array plus O(n_steps + n_paths * block) scratch
-    params, consts = defaults
-    cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
-    tracemalloc.start()
-    try:
-        path = simulate(cfg, params, consts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * path.xs.nbytes
-
-
-def test_simulate_holds_one_path_array(defaults):
-    # only X is stored; W is rebuilt from it one row at a time
-    params, consts = defaults
-    cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
-    tracemalloc.start()
-    try:
-        path = simulate(cfg, params, consts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * path.xs.nbytes
-
-
 def test_simulate_draws_nothing(defaults):
     # rows are drawn when read: simulate holds less than one row
     params, consts = defaults
     cfg = SimConfig(n_paths=20, n_steps=100_000, dt=1e-4, seed=8)
-    tracemalloc.start()
-    try:
-        simulate(cfg, params, consts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (cfg.n_steps + 1) * 8
+    assert peak_bytes(simulate, cfg, params, consts) < (cfg.n_steps + 1) * 8
+
+
+def _whole_row(path, i):
+    """Reference: path i in one pass, every normal drawn at once and the
+    recurrence blocked over the whole row."""
+    lam_dt = path.lam * path.dt
+    x = substream(path.seed, i).standard_normal(path.n_steps + 1)
+    x[0] = sample_stationary(path.lam, x[0])
+    decay, sd = step_consts(path.lam, path.dt)
+    x[1:] *= sd
+    lags = lam_dt * np.arange(min(max(int(1.0 / lam_dt), 1), path.n_steps))
+    ou._decay_recurrence(x, decay, np.exp(lags), np.exp(-lags))
+    return x
+
+
+@pytest.mark.parametrize("row_chunk", [1, 5_000, 12_345, 2**14, 10**6])
+@pytest.mark.parametrize("n_steps", [0, 1, 4_999, 5_000, 5_001, 47_123])
+def test_chunks_reproduce_the_whole_row_pass(monkeypatch, row_chunk,
+                                             n_steps):
+    # pieces of whole blocks (5,000 steps at lam dt = 2e-4) draw, block
+    # and round exactly as one pass over the row; W carried across the
+    # pieces equals w_row of the whole row
+    monkeypatch.setattr(ou, "ROW_CHUNK", row_chunk)
+    path = SimPath(t0=0.0, dt=1e-4, lam=2.0, n_paths=2, n_steps=n_steps,
+                   seed=77)
+    block = 5_000
+    want = _whole_row(path, 1)
+    pieces = [p.copy() for p in path.chunks(1)]
+    m = len(pieces[0]) - 1
+    assert m == min(max(row_chunk // block, 1) * block, n_steps)
+    assert all(len(p) == m for p in pieces[1:-1])
+    assert np.array_equal(np.concatenate(pieces), want)
+    assert np.array_equal(path.row(1), want)
+    ws, carry = [], 0.0
+    for p in pieces:
+        ws.append(np.empty_like(p))
+        carry = _w_piece(p, carry, pieces[0][0], path.lam * path.dt, ws[-1])
+    assert np.array_equal(np.concatenate(ws), w_row(want, 2.0, 1e-4))
+    assert carry == np.cumsum(want)[-1]
+
+
+def test_chunks_scratch_independent_of_row_length():
+    # reading a row piece by piece holds a few pieces, whatever n_steps
+    def read(n_steps):
+        path = SimPath(t0=0.0, dt=5e-5, lam=2.0, n_paths=1, n_steps=n_steps,
+                       seed=3)
+        for _ in path.chunks(0):
+            pass
+
+    read(1)                     # first-call imports are not scratch
+    long = peak_bytes(read, 400_000)
+    assert long < 1.1 * peak_bytes(read, 100_000)
+    assert long < 8 * 100_001      # under one row of the shorter path
 
 
 def test_row_independent_of_path_count_and_order(defaults):

@@ -1,7 +1,6 @@
 import importlib.util
 import math
 import sys
-import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +20,7 @@ from dynastyprice.pricing import (MAX_NODES, REL_TOL, DivergentIntegralError,
                                   QuadratureToleranceError, _rule,
                                   _solve_grid, _stock_and_s_x, _tilt,
                                   run_sweep)
+from conftest import peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -260,23 +260,15 @@ def test_surface_memory_independent_of_x_count(defaults):
     node_bytes = 8 * sol.taus.size
     bound = (us.size + 10) * node_bytes
 
-    def peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     w = _simpson(sol, params)
-    few = peak(_stock_and_s_x, np.linspace(1.2, 2.0, 4), us, sol, params,
-               consts, w)
+    few = peak_bytes(_stock_and_s_x, np.linspace(1.2, 2.0, 4), us, sol,
+                     params, consts, w)
     xs = np.linspace(1.2, 2.0, 40)
-    many = peak(_stock_and_s_x, xs, us, sol, params, consts, w)
+    many = peak_bytes(_stock_and_s_x, xs, us, sol, params, consts, w)
     assert many < bound
     assert many - few < node_bytes
     # one (n_x, N) matrix, as a joint-exponent pass over all x would hold
-    assert peak(np.outer, xs, sol.taus) > bound
+    assert peak_bytes(np.outer, xs, sol.taus) > bound
 
 
 def _dense_stock_and_s_x(xs, us, sol, params, consts, w):
@@ -333,13 +325,8 @@ def test_contraction_scratch_independent_of_grid_and_x_count(defaults):
     params, _, consts = defaults
 
     def peak(xs, us, sol):
-        w = _simpson(sol, params)
-        tracemalloc.start()
-        try:
-            _stock_and_s_x(xs, us, sol, params, consts, w)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(_stock_and_s_x, xs, us, sol, params, consts,
+                          _simpson(sol, params))
 
     sol = abc_eval(OdeInputs(theta=0.0, params=params, consts=consts,
                              tau_max=1000.0, n_grid=200_001))
@@ -445,13 +432,8 @@ def test_pde_residual_memory_bounded(defaults):
     us = np.linspace(state.u - 0.1, state.u + 0.1, 3)
     mid = MarketState(float(np.median(xs)), float(np.median(us)))
     sol = _solve_grid(mid, params, consts)[0]
-    tracemalloc.start()
-    try:
-        pde_residual(xs, us, params, consts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 60 * 8 * sol.taus.size
+    assert peak_bytes(pde_residual, xs, us, params, consts) < (
+        60 * 8 * sol.taus.size)
 
 
 def test_pde_u_direction_semi_analytic(defaults):
