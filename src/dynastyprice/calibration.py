@@ -15,12 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (InvalidParamsError, MarketState, ModelParams,
                     _require_finite, derive_constants, expected_u)
 
 
 class NoPositiveRootError(ArithmeticError):
-    """Calibration cubic has no positive root (l(0) >= 0)."""
+    """Calibration cubic has no positive root (l(0) >= 0), or its root is
+    not resolved in double precision (lam beyond about 1e29)."""
 
 
 @dataclass(frozen=True)
@@ -46,33 +49,38 @@ def expected_rate(gamma: float, a: float, lam: float, rho: float) -> float:
             - 2.0 * gamma * (lam + gamma) * (a * a + 1.0 / (2.0 * lam)))
 
 
-def _cubic(gamma: float, target: CalibrationTarget) -> float:
+def _coefficients(target: CalibrationTarget) -> list[float]:
+    """Coefficients of l, highest power first."""
     r, lam, rho, er = (target.risk_aversion, target.lam, target.rho,
                        target.expected_rate)
-    return (gamma ** 3 / lam + 2.0 * r * gamma ** 2
-            + (er - rho + 2.0 * r * (lam - 1.0)) * gamma + 0.5 * r - r * lam)
+    return [1.0 / lam, 2.0 * r, er - rho + 2.0 * r * (lam - 1.0),
+            0.5 * r - r * lam]
+
+
+def _cubic(gamma: float, target: CalibrationTarget) -> float:
+    return float(np.polyval(_coefficients(target), gamma))
 
 
 def solve_gamma(target: CalibrationTarget) -> tuple[float, float]:
     """Unique positive root of the calibration cubic and a = sqrt(R/gamma).
 
-    Bisection to bracket width 1e-14; cheap and derivative-free.
+    With l(0) < 0 the coefficients' signs are (+, +, ?, -): one sign
+    change, so by Descartes' rule exactly one positive real root, which
+    np.roots returns as a real eigenvalue of the companion matrix.
     """
-    if _cubic(0.0, target) >= 0.0:
+    coeffs = _coefficients(target)
+    if coeffs[-1] >= 0.0:
         raise NoPositiveRootError("l(0) >= 0: no positive root (need lam > 1/2)")
-    hi = 1.0
-    while _cubic(hi, target) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoPositiveRootError("no sign change found up to 1e12")
-    lo = 0.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if _cubic(mid, target) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    gamma = 0.5 * (lo + hi)
+    try:
+        with np.errstate(over="ignore"):
+            roots = np.roots(coeffs)
+    except np.linalg.LinAlgError:   # a coefficient ratio overflowed
+        roots = np.empty(0)
+    positive = roots[np.isreal(roots) & (roots.real > 0.0)].real
+    if positive.size != 1:
+        raise NoPositiveRootError("the positive root of l is not resolved "
+                                  "in double precision")
+    gamma = float(positive[0])
     return gamma, math.sqrt(target.risk_aversion / gamma)
 
 

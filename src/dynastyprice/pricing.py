@@ -317,6 +317,8 @@ def pde_residual(xs, us, params: ModelParams, consts: DerivedConstants,
     (xs, xs + dx, xs - dx) x (us, us + du, us - du) from one evaluator
     call and ignore its closed-form h_x, so they check it independently.
     """
+    if not (0.0 < dx < math.inf and 0.0 < du < math.inf):
+        raise InvalidParamsError("dx and du must be finite and positive")
     xs, us, sol = _median_grid(xs, us, params, consts)
     nx, nu = xs.size, us.size
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dynastyprice import (CalibrationTarget, derive_constants,
@@ -44,6 +46,34 @@ def test_cubic_increasing_on_positive_axis():
     g = np.linspace(1e-6, 2 * gamma, 200)
     vals = np.array([_cubic(float(x), t) for x in g])
     assert np.all(np.diff(vals) > 0)
+
+
+@pytest.mark.parametrize("lam", [0.6, 2.0, 50.0])
+@pytest.mark.parametrize("risk_aversion", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("rate", [-0.05, 0.01, 0.1])
+def test_root_is_a_sign_change_of_the_cubic(lam, risk_aversion, rate):
+    t = CalibrationTarget(risk_aversion, rate, lam, 0.04)
+    gamma, a = solve_gamma(t)
+    assert gamma > 0.0
+    assert _cubic(gamma * (1 - 1e-12), t) < 0.0 < _cubic(gamma * (1 + 1e-12), t)
+    assert a == math.sqrt(risk_aversion / gamma)
+
+
+def test_root_above_one_hundred_is_found():
+    # bisection to an absolute width of 1e-14 cannot end once the ulp of
+    # the root exceeds it (roots above 128); the eigenvalue root can
+    t = CalibrationTarget(2.0, -2e4, 2.0, 0.04)
+    gamma, _ = solve_gamma(t)
+    assert gamma > 128.0
+    assert _cubic(gamma * (1 - 1e-12), t) < 0.0 < _cubic(gamma * (1 + 1e-12), t)
+
+
+@pytest.mark.parametrize("lam", [1e100, 1e300])
+def test_unresolved_root_is_no_positive_root(lam):
+    # the roots differ by ~100 orders of magnitude, or a coefficient
+    # ratio overflows: no positive root is resolved
+    with pytest.raises(NoPositiveRootError):
+        solve_gamma(CalibrationTarget(2.0, 0.01, lam, 0.04))
 
 
 def test_no_positive_root_when_lam_small():

@@ -10,7 +10,7 @@ import pytest
 import dynastyprice
 from dynastyprice import MarketState, derive_constants, short_rate
 from dynastyprice.calibration import build_defaults
-from dynastyprice.cli import build_parser, load_config, main
+from dynastyprice.cli import CONFIG_KEYS, main
 
 
 def run_cli(capsys, *argv):
@@ -176,30 +176,6 @@ def test_price_finite_at_small_rho(capsys):
     assert stock == pytest.approx(2.113562353491, rel=1e-8)
 
 
-def test_seed_precedence(monkeypatch):
-    parser = build_parser()
-    monkeypatch.setenv("DYNASTY_SEED", "777")
-    args = parser.parse_args(["validate", "--suite", "bessel"])
-    assert load_config(args)["seed"] == 777
-    args = parser.parse_args(["validate", "--suite", "bessel",
-                              "--set", "seed=5"])
-    assert load_config(args)["seed"] == 5
-    args = parser.parse_args(["validate", "--suite", "bessel",
-                              "--set", "seed=5", "--seed", "9"])
-    assert load_config(args)["seed"] == 9
-    monkeypatch.delenv("DYNASTY_SEED")
-    args = parser.parse_args(["validate", "--suite", "bessel"])
-    assert load_config(args)["seed"] is None
-
-
-def test_negative_env_seed_exits_config(monkeypatch, capsys):
-    # numpy's seed sequences take no negative entropy
-    monkeypatch.setenv("DYNASTY_SEED", "-1")
-    code, out, err = run_cli(capsys, "validate", "--suite", "bessel")
-    assert code == 2
-    assert out == "" and err.startswith("config error: ")
-
-
 def test_csv_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "--param", "gamma_agg", "--from", "0.4", "--to",
@@ -229,10 +205,9 @@ def test_validate_failing_row_exits_1(monkeypatch, capsys):
     assert err == ""
 
 
-def test_validate_defaults_to_the_criterion_seed(monkeypatch, capsys):
-    # with no seed anywhere, the Monte Carlo suites draw at their
-    # criterion's seed (42 for aggregation, criterion 8)
-    monkeypatch.delenv("DYNASTY_SEED", raising=False)
+def test_validate_defaults_to_the_criterion_seed(capsys):
+    # without --seed the Monte Carlo suites draw at their criterion's
+    # seed (42 for aggregation, criterion 8)
     code, bare, _ = run_cli(capsys, "validate", "--suite", "aggregation")
     assert code == 0
     assert run_cli(capsys, "validate", "--suite", "aggregation",
@@ -255,6 +230,7 @@ def test_validate_defaults_to_the_criterion_seed(monkeypatch, capsys):
     ["calibrate", "--lam", "0.4"],
     ["calibrate", "--target-rate", "inf"],
     ["calibrate", "--rho", "nan"],
+    ["calibrate", "--lam", "1e300"],
     ["volsurf", "--u-from", "-1", "--u-to", "1", "--u-steps", "2",
      "--x-steps", "1"],
     ["validate", "--suite", "bessel", "--seed", "-1"],
@@ -271,6 +247,52 @@ def test_bad_input_exits_config(capsys, argv):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--suite", "bessel", "--set", "a2=-5"],
+    ["validate", "--suite", "bessel", "--config", "F"],
+    ["price", "--set", "seed=3"],
+    ["bond", "--tau", "1", "--config", "F"],
+], ids=" ".join)
+def test_command_rejects_inputs_it_does_not_read(tmp_path, capsys, argv):
+    # validate reads no model key, and only validate --seed sets a seed:
+    # neither is accepted and then dropped
+    cfg = tmp_path / "F"
+    cfg.write_text("seed=1\n")
+    argv = [str(cfg) if a == "F" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--out", "MISSING"],
+    ["calibrate", "--out", "MISSING"],
+    ["validate", "--suite", "calibration", "--out", "MISSING"],
+    ["price", "--config", "BINARY"],
+], ids=" ".join)
+def test_unusable_file_exits_config(tmp_path, capsys, argv):
+    # exit 1 means a failed check, so an --out file that cannot be written
+    # or a config that is not text is a config error, not a traceback
+    binary = tmp_path / "run.cfg"
+    binary.write_bytes(b"\xff\xferho=0.05\n")
+    files = {"MISSING": str(tmp_path / "missing" / "x.csv"),
+             "BINARY": str(binary)}
+    code = main([files.get(a, a) for a in argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("config error: ") and out.err.count("\n") == 1
+
+
+def test_readme_lists_the_config_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    keys = re.search(r"keys are\s+`([^`]+)`", readme.read_text()).group(1)
+    assert tuple(keys.split()) == CONFIG_KEYS
 
 
 @pytest.mark.parametrize("argv", [

@@ -249,6 +249,15 @@ def test_every_state_on_the_axes_is_validated(defaults, fn):
             fn(xs, us, params, consts)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["dx", "du"])
+def test_pde_residual_rejects_impossible_steps(defaults, name, step):
+    # dx = 0 would divide to NaN, dx = NaN would price a NaN state
+    params, _, consts = defaults
+    with pytest.raises(InvalidParamsError):
+        pde_residual([1.5], [1.0], params, consts, **{name: step})
+
+
 def test_surface_memory_independent_of_x_count(defaults):
     # scratch memory is a fixed number of blocks: it must not grow with
     # len(xs), and the bound must catch a pass that holds (n_x, N)
